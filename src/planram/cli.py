@@ -134,6 +134,13 @@ def cmd_enumerate(args):
         enumerate_triangulations,
     )
 
+    if args.format == "planar_code" and args.mode == "c4free_planar" \
+            and not args.maximal_only:
+        # maximal C4-free planar graphs are connected: an edge joining two
+        # components creates no C4 and keeps the graph planar
+        raise errors.Disconnected(
+            "planar_code needs connected graphs; in c4free_planar mode "
+            "use it with --maximal-only")
     graphs = []
     for index in range(args.workers):
         task = EnumerationTask(
@@ -256,6 +263,13 @@ def cmd_stats(args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="planram", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -263,7 +277,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_positive_int, default=1)
         sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--out", default=None)
 

@@ -6,6 +6,14 @@ Two generators, both canonical-construction-path searches:
   empty graph.  A child with edge e survives iff e lies in the canonical
   deletion orbit of the child, and per-parent duplicate children are
   removed by canonical form, which together give exactly-once emission.
+  Each candidate edge uv is filtered cheapest-first: non-edge, C4,
+  min-degree deficit, canonicity, planarity, then per-parent dedup.
+  Every filter is a predicate of (parent, u, v) alone, so the order
+  changes the cost and never the children.  Planarity rarely rejects
+  and is decided from one embedding of the parent: when u and v share a
+  face (or lie in different components) the new edge can be drawn inside
+  that face, so the child is planar.  Only the remaining candidates go
+  to a full planarity test.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -20,12 +28,18 @@ workers' outputs equals the single-worker output exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, partial
 
 from . import errors
 from .canon import canonical_form, marked_pair_form
-from .graphs import Graph, adding_edge_creates_c4, bits, contains_c4
-from .planarity import PlaneEmbedding, c4free_edge_cap, is_planar
+from .graphs import Graph, adding_edge_creates_c4, bits
+from .planarity import (
+    PlaneEmbedding,
+    c4free_edge_cap,
+    cofacial_masks,
+    is_planar,
+)
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -92,27 +106,27 @@ def _edge_invariant(g: Graph, u: int, v: int):
     return (min(du, dv), max(du, dv), (g.adj[u] & g.adj[v]).bit_count())
 
 
-def _canonical_edge_forms(g: Graph):
-    """Marked-pair forms of the edges achieving the minimal edge invariant."""
-    best_inv = None
-    candidates = []
-    for u, v in g.edges():
-        inv = _edge_invariant(g, u, v)
-        if best_inv is None or inv < best_inv:
-            best_inv = inv
-            candidates = [(u, v)]
-        elif inv == best_inv:
-            candidates.append((u, v))
-    best_form = min(marked_pair_form(g, u, v) for u, v in candidates)
-    return best_inv, best_form
-
-
 def _edge_is_canonical(g: Graph, u: int, v: int) -> bool:
+    """True iff the edge uv (u < v) has the minimal edge invariant and,
+    among the edges tying with it, the minimal marked-pair form.
+
+    Marked forms are computed only when another edge ties, and only for
+    the tied edges, stopping at the first one that beats uv.
+    """
     inv = _edge_invariant(g, u, v)
-    best_inv, best_form = _canonical_edge_forms(g)
-    if inv != best_inv:
-        return False
-    return marked_pair_form(g, u, v) == best_form
+    rivals = []
+    for x, y in g.edges():
+        if x == u and y == v:
+            continue
+        other = _edge_invariant(g, x, y)
+        if other < inv:
+            return False
+        if other == inv:
+            rivals.append((x, y))
+    if not rivals:
+        return True
+    form = marked_pair_form(g, u, v)
+    return all(marked_pair_form(g, x, y) >= form for x, y in rivals)
 
 
 def enumerate_c4free_planar(
@@ -144,15 +158,18 @@ def enumerate_c4free_planar(
     while frontier:
         if depth == split_depth:
             frontier = _take_split(frontier, task.split)
-        if depth >= split_depth or task.split[0] == 0:
-            # graphs below the split depth belong to worker 0 alone, so a
-            # union over workers partitions the classes exactly
-            for g in frontier:
-                _maybe_emit(g, task, out)
-        if depth == cap:
-            break
+        # graphs below the split depth belong to worker 0 alone, so a
+        # union over workers partitions the classes exactly
+        emit = depth >= split_depth or task.split[0] == 0
         nxt = []
         for g in frontier:
+            # computed on first use, then shared by the maximality test
+            # and the expansion of g
+            masks = cache(partial(cofacial_masks, g))
+            if emit:
+                _maybe_emit(g, task, out, masks)
+            if depth == cap:
+                continue
             seen = set()
             for u in range(n):
                 for v in range(u + 1, n):
@@ -164,9 +181,9 @@ def enumerate_c4free_planar(
                     child = g.add_edge(u, v)
                     if hopeless(child, depth + 1):
                         continue
-                    if not is_planar(child):
-                        continue
                     if not _edge_is_canonical(child, u, v):
+                        continue
+                    if not masks()[u] >> v & 1 and not is_planar(child):
                         continue
                     form = canonical_form(child).form
                     if form in seen:
@@ -179,22 +196,32 @@ def enumerate_c4free_planar(
     return EnumerationResult(len(out), tuple(out), None, True, budget.nodes)
 
 
-def _maybe_emit(g: Graph, task: EnumerationTask, out: list[Graph]) -> None:
+def _maybe_emit(g: Graph, task: EnumerationTask, out: list[Graph],
+                masks) -> None:
     if g.n and g.min_degree() < task.min_degree:
         return
     if task.connected_only and not g.is_connected():
         return
-    if task.maximal_only and not is_maximal_c4free_planar(g):
+    if task.maximal_only and not is_maximal_c4free_planar(g, masks()):
         return
     out.append(g)
 
 
-def is_maximal_c4free_planar(g: Graph) -> bool:
+def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
+    """True iff no edge can be added to the C4-free planar graph g without
+    creating a C4 or losing planarity.
+
+    ``masks`` are g's ``cofacial_masks``, computed here when first needed
+    if not given; a cofacial C4-free non-edge settles the answer, and only
+    the other C4-free non-edges need a full planarity test.
+    """
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
                 continue
-            if is_planar(g.add_edge(u, v)):
+            if masks is None:
+                masks = cofacial_masks(g)
+            if masks[u] >> v & 1 or is_planar(g.add_edge(u, v)):
                 return False
     return True
 

@@ -95,16 +95,47 @@ def embed(g: Graph) -> PlaneEmbedding:
     """One valid combinatorial embedding (not canonical, but deterministic)."""
     if not g.is_connected():
         raise errors.Disconnected("embedding requires a connected graph")
+    embedding = PlaneEmbedding(g, _rotation_system(g))
+    embedding.check_valid()
+    return embedding
+
+
+def cofacial_masks(g: Graph) -> tuple[int, ...]:
+    """Per vertex v, the vertices w for which g + vw is certainly planar.
+
+    Bit w of entry v is set when v and w lie on a common face of one plane
+    embedding of g, or in different components: the edge vw can then be
+    drawn inside that face, or joins two separately drawn components.  A
+    clear bit proves nothing, since another embedding of g may still put
+    v and w on one face.  The masks are symmetric with clear diagonal; g
+    may be disconnected but must be planar.
+    """
+    masks = [0] * g.n
+    for face in PlaneEmbedding(g, _rotation_system(g)).faces:
+        on_face = 0
+        for u, _ in face.boundary:
+            on_face |= 1 << u
+        for u in bits(on_face):
+            masks[u] |= on_face
+    full = (1 << g.n) - 1
+    remaining = full
+    while remaining:
+        comp = g.component_mask((remaining & -remaining).bit_length() - 1)
+        for u in bits(comp):
+            masks[u] |= full & ~comp
+        remaining &= ~comp
+    return tuple(mask & ~(1 << v) for v, mask in enumerate(masks))
+
+
+def _rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """networkx's clockwise rotation system of g, per component."""
     ok, emb = nx.check_planarity(_to_nx(g))
     if not ok:
         raise errors.NotPlanar("graph contains a K5 or K3,3 minor")
-    rotation = tuple(
+    return tuple(
         tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
         for v in range(g.n)
     )
-    embedding = PlaneEmbedding(g, rotation)
-    embedding.check_valid()
-    return embedding
 
 
 def _to_nx(g: Graph) -> nx.Graph:

@@ -98,3 +98,33 @@ def test_planar_code_autodetect_roundtrip():
     out = run(["stats"], stdin=enc.stdout)
     assert out.returncode == 0
     assert out.stdout.decode().count("n=6") == 2
+
+
+def test_workers_below_one_is_a_usage_error():
+    for args in (["enumerate", "--n", "5"],
+                 ["verify", "pr-upper", "--wheel", "6", "--host", "9"],
+                 ["verify", "delta", "--n", "8"],
+                 ["verify", "lemmas", "--n", "7"]):
+        out = run([*args, "--workers", "0"])
+        assert out.returncode == 64, args
+        assert out.stdout == b""
+        assert b"--workers" in out.stderr
+
+
+def test_enumerate_planar_code_needs_maximal_only_in_c4free_mode():
+    out = run(["enumerate", "--n", "5", "--format", "planar_code"])
+    assert out.returncode == 64
+    assert out.stdout == b""
+    assert b"connected" in out.stderr
+
+
+def test_enumerate_maximal_only_planar_code():
+    enc = run(["enumerate", "--n", "7", "--maximal-only", "--format",
+               "planar_code"])
+    assert enc.returncode == 0
+    g6 = run(["enumerate", "--n", "7", "--maximal-only"])
+    stats = run(["stats"], stdin=enc.stdout)
+    assert stats.returncode == 0
+    lines = stats.stdout.decode().splitlines()
+    assert len(lines) == len(g6.stdout.split()) > 0
+    assert all("faces=-" not in line for line in lines)

@@ -1,25 +1,38 @@
 """Enumeration correctness against independent brute-force oracles."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from planram import errors
-from planram.canon import canonical_form
+from planram.canon import canonical_form, marked_pair_form
+from planram.cli import main
 from planram.enumeration import (
     EnumerationTask,
+    _edge_invariant,
+    _edge_is_canonical,
     enumerate_c4free_planar,
     enumerate_triangulations,
     is_maximal_c4free_planar,
     max_edges_c4free_planar,
     triangulation_check,
 )
-from planram.graphs import Graph, contains_c4
+from planram.graphs import Graph, adding_edge_creates_c4, contains_c4
 from planram.planarity import embed, is_planar
 
 # class counts frozen after oracle validation (brute force below re-derives
 # the first six; the larger ones are pinned for regression)
 C4FREE_PLANAR_COUNTS = [1, 2, 4, 8, 18, 44, 117, 351]
+
+# SHA-256 of the graph6 streams of `planram enumerate --n 9` and of
+# `planram enumerate --n 9 --maximal-only`: the frozen counts pin how many
+# classes there are, these pin which representatives and in what order
+STREAM_SHA256 = {
+    (): "230e0f67565c22911fd3bca6876fe94668f25ad87200087756226c6e7c544b04",
+    ("--maximal-only",):
+        "f25918dc3f19057949c04f88b62ed46ab007219e9550147dc13a3aadcd8f01b9",
+}
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
 
 
@@ -51,6 +64,49 @@ def test_counts_match_brute_force_small():
 def test_counts_frozen_values():
     for n in range(6, 9):
         assert count(n) == C4FREE_PLANAR_COUNTS[n - 1]
+
+
+def test_enumerate_stream_fingerprint(capsys):
+    for flags, digest in STREAM_SHA256.items():
+        assert main(["enumerate", "--n", "9", *flags]) == 0
+        stream = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stream).hexdigest() == digest, flags
+
+
+def full_edge_is_canonical(g, u, v):
+    """The canonicity rule computed in full: uv has the minimal edge
+    invariant and the minimal marked form among the edges sharing it."""
+    invariants = {e: _edge_invariant(g, *e) for e in g.edges()}
+    best = min(invariants.values())
+    if invariants[u, v] != best:
+        return False
+    tied = [e for e, inv in invariants.items() if inv == best]
+    return marked_pair_form(g, u, v) == min(
+        marked_pair_form(g, *e) for e in tied)
+
+
+def test_edge_canonicity_matches_full_rule():
+    checked = 0
+    outcomes = set()
+    for n in range(2, 8):
+        task = EnumerationTask(n=n, mode="c4free_planar")
+        for g in enumerate_c4free_planar(task).graphs:
+            for u, v in itertools.combinations(range(n), 2):
+                if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
+                    continue
+                child = g.add_edge(u, v)
+                if not is_planar(child):
+                    continue
+                best = min(_edge_invariant(child, *e) for e in child.edges())
+                for x, y in child.edges():
+                    verdict = _edge_is_canonical(child, x, y)
+                    assert verdict == full_edge_is_canonical(child, x, y)
+                    minimal = _edge_invariant(child, x, y) == best
+                    outcomes.add((minimal, verdict))
+                    checked += 1
+    assert checked > 8000
+    # both verdicts occur, including ties that only marked forms decide
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_split_partition_is_exact():
@@ -186,7 +242,6 @@ def test_every_class_extends_to_a_maximal_class():
                 for v in range(u + 1, cur.n):
                     if cur.has_edge(u, v):
                         continue
-                    from planram.graphs import adding_edge_creates_c4
                     if adding_edge_creates_c4(cur, u, v):
                         continue
                     cand = cur.add_edge(u, v)

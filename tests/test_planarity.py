@@ -7,6 +7,7 @@ from planram.graphs import Graph, contains_c4
 from planram.planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
+    cofacial_masks,
     edge_bound_holds,
     edge_identity_residual,
     embed,
@@ -39,6 +40,57 @@ def test_embed_faces_euler():
 def test_embed_rejects_nonplanar():
     with pytest.raises(errors.NotPlanar):
         embed(Graph.complete(5))
+
+
+def test_cofacial_masks_are_sound():
+    from planram.enumeration import EnumerationTask, enumerate_c4free_planar
+
+    for n in range(1, 8):
+        task = EnumerationTask(n=n, mode="c4free_planar")
+        for g in enumerate_c4free_planar(task).graphs:
+            masks = cofacial_masks(g)
+            for v in range(n):
+                assert not masks[v] >> v & 1
+                others = ((1 << n) - 1) & ~g.component_mask(v)
+                assert masks[v] & others == others
+                for w in range(n):
+                    assert masks[v] >> w & 1 == masks[w] >> v & 1
+                    if w != v and masks[v] >> w & 1 \
+                            and not g.has_edge(v, w):
+                        assert is_planar(g.add_edge(v, w)), (g.adj, v, w)
+
+
+def test_cofacial_masks_of_triangulations_are_their_adjacency():
+    # every face is a triangle, so only neighbours share a face, and no
+    # edge can be added: here a set bit on a non-edge would be unsound
+    from planram.enumeration import EnumerationTask, enumerate_triangulations
+
+    for n in range(4, 9):
+        task = EnumerationTask(n=n, mode="triangulation")
+        for g in enumerate_triangulations(task).graphs:
+            assert cofacial_masks(g) == g.adj
+
+
+def test_cofacial_masks_small_cases():
+    # every pair of a tree or a cycle shares the one or two faces
+    for g in (Graph.path(5), Graph.cycle(6)):
+        assert cofacial_masks(g) == tuple(
+            ((1 << g.n) - 1) & ~(1 << v) for v in range(g.n))
+    # K4 plus an isolated vertex: all triangles are faces, and the extra
+    # vertex is in another component
+    g = Graph.from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    assert cofacial_masks(g) == (0b11110, 0b11101, 0b11011, 0b10111, 0b01111)
+    # K_{2,4} puts two of its four degree-2 vertices opposite each other
+    # in any embedding, yet joining them keeps the graph planar: a clear
+    # bit proves nothing
+    k24 = Graph.from_edges(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
+    masks = cofacial_masks(k24)
+    clear = [(v, w) for v in range(2, 6) for w in range(v + 1, 6)
+             if not masks[v] >> w & 1]
+    assert len(clear) == 2
+    assert all(is_planar(k24.add_edge(v, w)) for v, w in clear)
+    with pytest.raises(errors.NotPlanar):
+        cofacial_masks(Graph.complete(5))
 
 
 def test_invalid_rotation_detected():
