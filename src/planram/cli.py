@@ -22,7 +22,6 @@ import os
 import sys
 
 from . import __version__, errors
-from .canon import canonical_form
 from .construct import (
     SEED_NAMES,
     build_delta_witness,
@@ -51,39 +50,24 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 
-def _read_embeddings():
-    """Parse stdin as planar_code or graph6 into a list of embeddings."""
-    data = sys.stdin.buffer.read()
-    if data.startswith(b">>planar_code<<"):
-        return [
-            PlaneEmbedding(rotation_to_graph(rot), rot)
-            for rot in from_planar_code(data)
-        ]
-    out = []
-    for line in data.decode().split():
-        if line:
-            out.append(embed(from_graph6(line)))
-    return out
-
-
 def _read_inputs():
-    """Like _read_embeddings, but tolerates disconnected graph6 input.
+    """Parse stdin as planar_code or graph6 into (graph, embedding) pairs.
 
-    Returns (graph, embedding-or-None) pairs; the embedding is None when
-    the graph has no single plane embedding (disconnected).
+    The embedding is None when the graph has no single plane embedding
+    (disconnected graph6 input).
     """
     data = sys.stdin.buffer.read()
     if data.startswith(b">>planar_code<<"):
         pairs = []
         for rot in from_planar_code(data):
             e = PlaneEmbedding(rotation_to_graph(rot), rot)
+            e.check_valid()  # a rotation system need not be a plane one
             pairs.append((e.base, e))
         return pairs
     out = []
-    for line in data.decode().split():
-        if not line:
-            continue
-        g = from_graph6(line)
+    for line in data.split():
+        # latin-1 decodes any byte, so from_graph6 judges every character
+        g = from_graph6(line.decode("latin-1"))
         try:
             out.append((g, embed(g)))
         except errors.Disconnected:
@@ -91,8 +75,15 @@ def _read_inputs():
     return out
 
 
+def _read_embeddings():
+    """The stdin embeddings, for commands that need every graph embedded."""
+    pairs = _read_inputs()
+    if any(e is None for _, e in pairs):
+        raise errors.Disconnected("embedding requires a connected graph")
+    return [e for _, e in pairs]
+
+
 def _write_graphs(graphs, fmt, out):
-    graphs = sorted(graphs, key=lambda g: canonical_form(g).form)
     if fmt == "planar_code":
         out.buffer.write(to_planar_code([embed(g).rotation for g in graphs]))
     else:
@@ -128,11 +119,7 @@ def _emit_certs(certs, args):
 
 
 def cmd_enumerate(args):
-    from .enumeration import (
-        EnumerationTask,
-        enumerate_c4free_planar,
-        enumerate_triangulations,
-    )
+    from .enumeration import EnumerationTask, classes
 
     if args.format == "planar_code" and args.mode == "c4free_planar" \
             and not args.maximal_only:
@@ -141,20 +128,10 @@ def cmd_enumerate(args):
         raise errors.Disconnected(
             "planar_code needs connected graphs; in c4free_planar mode "
             "use it with --maximal-only")
-    graphs = []
-    for index in range(args.workers):
-        task = EnumerationTask(
-            n=args.n,
-            mode=args.mode,
-            min_degree=args.min_degree,
-            maximal_only=args.maximal_only,
-            split=(index, args.workers),
-        )
-        if args.mode == "triangulation":
-            result = enumerate_triangulations(task, _budget(args))
-        else:
-            result = enumerate_c4free_planar(task, _budget(args))
-        graphs.extend(result.graphs)
+    task = EnumerationTask(n=args.n, mode=args.mode,
+                           min_degree=args.min_degree,
+                           maximal_only=args.maximal_only)
+    graphs = classes(task, _budget(args)).graphs
     out = _open_out(args.out)
     try:
         _write_graphs(graphs, args.format, out)
@@ -169,17 +146,15 @@ def cmd_verify(args):
 
     budget = _budget(args)
     if args.claim == "pr-upper":
-        certs = [ramsey.verify_pr_upper(args.wheel, args.host,
-                                        args.workers, budget)]
+        certs = [ramsey.verify_pr_upper(args.wheel, args.host, budget)]
     elif args.claim == "pr-lower":
         certs = [ramsey.verify_pr_lower(args.wheel)]
     elif args.claim == "delta":
-        certs = [ramsey.verify_delta(args.n, args.workers, budget)]
+        certs = [ramsey.verify_delta(args.n, budget)]
     elif args.claim == "fact":
-        certs = [ramsey.check_fact(args.id, args.long_running,
-                                   args.workers, budget)]
+        certs = [ramsey.check_fact(args.id, args.long_running, budget)]
     else:
-        certs = [ramsey.lemma_property_suite(args.n, args.workers, budget)]
+        certs = [ramsey.lemma_property_suite(args.n, budget)]
     return _emit_certs(certs, args)
 
 
@@ -245,9 +220,7 @@ def cmd_stats(args):
     try:
         for g, e in _read_inputs():
             if e is not None:
-                census = {}
-                for f in e.faces:
-                    census[f.length] = census.get(f.length, 0) + 1
+                census = e.face_census()
                 faces = " ".join(
                     f"{k}:{census[k]}" for k in sorted(census)
                 )
@@ -277,7 +250,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--workers", type=_positive_int, default=1)
+        sp.add_argument("--workers", type=_positive_int, default=1,
+                        help="accepted for existing command lines; has no "
+                        "effect, every search runs in one process")
         sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--out", default=None)
 
@@ -347,8 +322,8 @@ def main(argv=None):
         raise
     try:
         return args.func(args)
-    except errors.InfeasibleScale:
-        print("infeasible: search budget exceeded", file=sys.stderr)
+    except errors.InfeasibleScale as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except errors.PlanramError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
-from .graphs import Graph, contains_c4, contains_wheel
+from .graphs import MAX_VERTICES, Graph, contains_c4, contains_wheel
 from .planarity import Face, PlaneEmbedding, edge_identity_residual
 
 SEED_NAMES = (
@@ -497,7 +497,7 @@ def delta_target(n: int) -> int:
 
 def build_delta_witness(n: int) -> ConstructionTrace:
     """A C4-free planar graph of order n with the claimed minimum degree."""
-    if n < 5:
+    if not 5 <= n <= MAX_VERTICES:
         raise errors.UnsupportedOrder(f"no witness for order {n}")
     if n <= 9:
         seed, ops = f"cycle{n}", []
@@ -571,10 +571,10 @@ def build_ramsey_lower_witness(n_wheel: int) -> Graph:
 
 
 def _k4_free_complement_witness(order: int) -> Graph:
-    from .enumeration import EnumerationTask, enumerate_c4free_planar
+    from .enumeration import EnumerationTask, classes
 
     task = EnumerationTask(n=order, mode="c4free_planar", maximal_only=True)
-    for g in enumerate_c4free_planar(task).graphs:
+    for g in classes(task).graphs:
         if contains_wheel(g.complement(), 3) is None:
             return g
     raise errors.PropertyViolation(f"no order-{order} witness exists")

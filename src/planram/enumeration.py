@@ -21,15 +21,21 @@ Two generators, both canonical-construction-path searches:
   triangulation on five or more vertices has such an edge, so the search
   tree is rooted at K4.
 
-Work is split deterministically: the breadth-first frontier at a fixed
-depth is partitioned by index modulo the worker count, so the union of the
-workers' outputs equals the single-worker output exactly.
+Both generators return their classes sorted by canonical form, using the
+form each class was deduplicated by.  ``classes`` is the one way the rest
+of the toolkit asks for a class list: it runs each task at most once per
+process.
+
+A task's ``split`` restricts the breadth-first frontier at a fixed depth
+to the indices congruent to one residue, so the union over the residues
+equals the unsplit output exactly; the tests use this as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
+from operator import itemgetter
 
 from . import errors
 from .canon import canonical_form, marked_pair_form
@@ -43,7 +49,7 @@ from .planarity import (
 
 DEFAULT_BUDGET = 50_000_000
 
-# frontier depths at which the worker partition is applied
+# frontier depths at which a task's split is applied
 _SPLIT_EDGES = 5
 _SPLIT_ORDER = 9
 
@@ -54,19 +60,18 @@ class EnumerationTask:
     mode: str  # c4free_planar | triangulation
     min_degree: int = 0
     maximal_only: bool = False
-    connected_only: bool = False
     split: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.mode not in ("c4free_planar", "triangulation"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise errors.BadInput(f"unknown mode {self.mode!r}")
         if not 0 <= self.min_degree <= 5:
-            raise ValueError("min_degree must be in 0..5")
+            raise errors.BadInput("min_degree must be in 0..5")
         if self.maximal_only and self.mode != "c4free_planar":
-            raise ValueError("maximal_only applies to c4free_planar only")
+            raise errors.BadInput("maximal_only applies to c4free_planar only")
         index, count = self.split
         if count < 1 or not 0 <= index < count:
-            raise ValueError(f"bad split {self.split}")
+            raise errors.BadInput(f"bad split {self.split}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,37 @@ class EnumerationResult:
     count: int
     graphs: tuple[Graph, ...]
     embeddings: tuple[tuple[tuple[int, ...], ...], ...] | None
-    exhaustive: bool
+    forms: tuple[bytes, ...]  # canonical form of each graph, increasing
     nodes_visited: int
+
+
+_CLASSES: dict[EnumerationTask, EnumerationResult] = {}
+
+
+def classes(
+    task: EnumerationTask, budget_nodes: int | None = None
+) -> EnumerationResult:
+    """The classes of task, generated at most once per process.
+
+    A cached result is returned whatever the budget.  A maximal_only task
+    whose full sweep is cached is answered by filtering that sweep, which
+    holds the same representatives in the same order.
+    """
+    if task not in _CLASSES:
+        full = replace(task, maximal_only=False)
+        if task.maximal_only and full in _CLASSES:
+            whole = _CLASSES[full]
+            keep = [i for i, g in enumerate(whole.graphs)
+                    if is_maximal_c4free_planar(g)]
+            result = EnumerationResult(
+                len(keep), tuple(whole.graphs[i] for i in keep), None,
+                tuple(whole.forms[i] for i in keep), 0)  # no node visited
+        elif task.mode == "triangulation":
+            result = enumerate_triangulations(task, budget_nodes)
+        else:
+            result = enumerate_c4free_planar(task, budget_nodes)
+        _CLASSES[task] = result
+    return _CLASSES[task]
 
 
 class _Budget:
@@ -137,11 +171,12 @@ def enumerate_c4free_planar(
         raise ValueError("task mode must be c4free_planar")
     n = task.n
     if not 1 <= n <= 64:
-        raise ValueError("order must be in 1..64")
+        raise errors.BadInput(f"order must be in 1..64, got {n}")
     budget = _Budget(budget_nodes)
     cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
-    out: list[Graph] = []
-    frontier = [Graph.empty(n)]
+    out: list[tuple[bytes, Graph]] = []
+    root = Graph.empty(n)
+    frontier = [(canonical_form(root).form, root)]
     depth = 0
     split_depth = min(_SPLIT_EDGES, max(cap - 1, 0))
     t = task.min_degree
@@ -153,21 +188,21 @@ def enumerate_c4free_planar(
         deficit = sum(t - d for d in g.degrees() if d < t)
         return deficit > 2 * (cap - edges_used)
 
-    if hopeless(frontier[0], 0):
+    if hopeless(root, 0):
         frontier = []
     while frontier:
         if depth == split_depth:
             frontier = _take_split(frontier, task.split)
-        # graphs below the split depth belong to worker 0 alone, so a
-        # union over workers partitions the classes exactly
+        # graphs below the split depth belong to split index 0 alone, so
+        # a union over the indices partitions the classes exactly
         emit = depth >= split_depth or task.split[0] == 0
         nxt = []
-        for g in frontier:
+        for g_form, g in frontier:
             # computed on first use, then shared by the maximality test
             # and the expansion of g
             masks = cache(partial(cofacial_masks, g))
-            if emit:
-                _maybe_emit(g, task, out, masks)
+            if emit and _emits(g, task, masks):
+                out.append((g_form, g))
             if depth == cap:
                 continue
             seen = set()
@@ -189,22 +224,18 @@ def enumerate_c4free_planar(
                     if form in seen:
                         continue
                     seen.add(form)
-                    nxt.append(child)
+                    nxt.append((form, child))
         frontier = nxt
         depth += 1
-    out.sort(key=lambda g: canonical_form(g).form)
-    return EnumerationResult(len(out), tuple(out), None, True, budget.nodes)
+    out.sort(key=itemgetter(0))
+    return EnumerationResult(len(out), tuple(g for _, g in out), None,
+                             tuple(f for f, _ in out), budget.nodes)
 
 
-def _maybe_emit(g: Graph, task: EnumerationTask, out: list[Graph],
-                masks) -> None:
+def _emits(g: Graph, task: EnumerationTask, masks) -> bool:
     if g.n and g.min_degree() < task.min_degree:
-        return
-    if task.connected_only and not g.is_connected():
-        return
-    if task.maximal_only and not is_maximal_c4free_planar(g, masks()):
-        return
-    out.append(g)
+        return False
+    return not task.maximal_only or is_maximal_c4free_planar(g, masks())
 
 
 def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
@@ -355,33 +386,33 @@ def enumerate_triangulations(
         raise errors.InfeasibleScale("triangulation orders supported: 4..18")
     budget = _Budget(budget_nodes)
     prune5 = task.min_degree == 5
-    out: list[tuple[Graph, tuple]] = []
-    frontier = [_k4_embedding()]
+    out: list[tuple[bytes, Graph, tuple]] = []
+    k4, k4_rotation = _k4_embedding()
+    frontier = [(canonical_form(k4).form, k4, k4_rotation)]
     order = 4
     split_depth = min(_SPLIT_ORDER, n_target)
     while frontier:
         if order == split_depth:
             frontier = _take_split(frontier, task.split)
         if order == n_target:
-            for g, rot in frontier:
-                if g.min_degree() >= task.min_degree:
-                    out.append((g, rot))
+            out = [s for s in frontier if s[1].min_degree() >= task.min_degree]
             break
         nxt = []
-        for g, rot in frontier:
+        for _, g, rot in frontier:
             seen = set()
-            for child in _children(g, rot, n_target, prune5, budget):
-                form = canonical_form(child[0]).form
+            for child, child_rot in _children(g, rot, n_target, prune5,
+                                              budget):
+                form = canonical_form(child).form
                 if form in seen:
                     continue
                 seen.add(form)
-                nxt.append(child)
+                nxt.append((form, child, child_rot))
         frontier = nxt
         order += 1
-    out.sort(key=lambda pair: canonical_form(pair[0]).form)
-    graphs = tuple(g for g, _ in out)
-    rotations = tuple(rot for _, rot in out)
-    return EnumerationResult(len(out), graphs, rotations, True, budget.nodes)
+    out.sort(key=itemgetter(0))
+    return EnumerationResult(
+        len(out), tuple(g for _, g, _ in out), tuple(r for _, _, r in out),
+        tuple(f for f, _, _ in out), budget.nodes)
 
 
 def _children(g, rot, n_target, prune5, budget):

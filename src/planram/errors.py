@@ -5,6 +5,11 @@ class PlanramError(Exception):
     """Base class for all toolkit errors."""
 
 
+class BadInput(PlanramError, ValueError):
+    """Input outside the accepted format or range: malformed graph6 or
+    planar_code, or an order or size no request can take."""
+
+
 class NotPlanar(PlanramError):
     pass
 

@@ -7,11 +7,14 @@ packed column-major in 6-bit chunks offset by 63.
 planar_code follows the plantri convention: optional ">>planar_code<<"
 header, then per graph one byte for n and, for every vertex, its neighbours
 in rotation order as 1-based bytes terminated by 0.
+
+Both readers raise ``errors.BadInput`` on malformed input, and only that.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from . import errors
+from .graphs import MAX_VERTICES, Graph
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -43,14 +46,22 @@ def from_graph6(text: str) -> Graph:
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
     data = [ord(c) - 63 for c in text]
-    if any(not 0 <= d <= 63 for d in data):
-        raise ValueError("invalid graph6 character")
+    if not data or any(not 0 <= d <= 63 for d in data):
+        raise errors.BadInput(f"invalid graph6 {text[:20]!r}")
     if data[0] == 63:  # '~' long form
+        if len(data) < 4:
+            raise errors.BadInput(f"truncated graph6 {text!r}")
         n = data[1] << 12 | data[2] << 6 | data[3]
         data = data[4:]
     else:
         n = data[0]
         data = data[1:]
+    if n > MAX_VERTICES:
+        raise errors.BadInput(f"graph6 order {n} exceeds {MAX_VERTICES}")
+    need = (n * (n - 1) // 2 + 5) // 6  # 6 bits per byte, rounded up
+    if len(data) != need:
+        raise errors.BadInput(
+            f"graph6 of order {n} needs {need} data bytes, got {len(data)}")
     bitstream = []
     for d in data:
         for shift in range(5, -1, -1):
@@ -84,23 +95,43 @@ def to_planar_code(rotations: list[tuple[tuple[int, ...], ...]], header: bool = 
 
 
 def from_planar_code(blob: bytes) -> list[tuple[tuple[int, ...], ...]]:
-    """Decode a planar_code stream into 0-based rotation systems."""
+    """Decode a planar_code stream into 0-based rotation systems.
+
+    Each rotation is checked to be one of a simple graph on 1..MAX_VERTICES
+    vertices: labels in range, no loops or repeated neighbours, and v lists
+    u exactly when u lists v.
+    """
     if blob.startswith(PLANAR_CODE_HEADER):
         blob = blob[len(PLANAR_CODE_HEADER) :]
     rotations = []
     i = 0
-    while i < len(blob):
-        n = blob[i]
-        i += 1
-        rotation = []
-        for _ in range(n):
-            nbrs = []
-            while blob[i] != 0:
-                nbrs.append(blob[i] - 1)
-                i += 1
-            i += 1  # consume terminator
-            rotation.append(tuple(nbrs))
-        rotations.append(tuple(rotation))
+    try:
+        while i < len(blob):
+            n = blob[i]
+            i += 1
+            if not 1 <= n <= MAX_VERTICES:
+                raise errors.BadInput(
+                    f"planar_code order {n} outside 1..{MAX_VERTICES}")
+            rotation = []
+            for _ in range(n):
+                nbrs = []
+                while blob[i] != 0:
+                    nbrs.append(blob[i] - 1)
+                    i += 1
+                i += 1  # consume terminator
+                rotation.append(tuple(nbrs))
+            rotations.append(tuple(rotation))
+    except IndexError:
+        raise errors.BadInput("truncated planar_code") from None
+    for k, rotation in enumerate(rotations):
+        n = len(rotation)
+        for v, nbrs in enumerate(rotation):
+            if len(set(nbrs)) != len(nbrs) or any(
+                not 0 <= u < n or u == v or v not in rotation[u]
+                for u in nbrs
+            ):
+                raise errors.BadInput(
+                    f"planar_code graph {k}: bad neighbours of vertex {v + 1}")
     return rotations
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import errors
+
 MAX_VERTICES = 64
 
 
@@ -306,9 +308,9 @@ def contains_wheel(g: Graph, m: int, stats: ShortcutStats | None = None):
     positive answer carries a verifiable witness.
     """
     if m < 3:
-        raise ValueError("rim length must be >= 3")
+        raise errors.BadInput("rim length must be >= 3")
     if m + 1 > g.n:
-        raise ValueError(f"wheel on {m + 1} vertices cannot fit in {g.n}")
+        raise errors.BadInput(f"wheel on {m + 1} vertices cannot fit in {g.n}")
     hubs = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for hub in hubs:
         if g.degree(hub) < m:

@@ -22,17 +22,12 @@ from importlib import resources
 from . import errors
 from .canon import canonical_form
 from .construct import (
-    ConstructionTrace,
     build_delta_witness,
     build_ramsey_lower_witness,
     delta_target,
     pr_target,
 )
-from .enumeration import (
-    EnumerationTask,
-    enumerate_c4free_planar,
-    enumerate_triangulations,
-)
+from .enumeration import EnumerationTask, classes
 from .formats import from_graph6, to_graph6
 from .graphs import Graph, ShortcutStats, contains_c4, contains_wheel, cycle_of_length
 from .planarity import is_planar
@@ -68,23 +63,6 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class RamseyVerdict:
-    n_wheel: int
-    claimed_pr: int
-    lower_ok: bool
-    upper_ok: bool
-    lower_witness: Graph | None
-
-
-@dataclass(frozen=True)
-class DeltaVerdict:
-    n: int
-    claimed_delta: int
-    witness: ConstructionTrace
-    upper_bound_method: str  # enumeration | edge_bound | none
-
-
 def _finish(claim_id, started, verdict, exhaustive, witnesses=(), **counts):
     return Certificate(
         claim_id=claim_id,
@@ -96,38 +74,9 @@ def _finish(claim_id, started, verdict, exhaustive, witnesses=(), **counts):
     )
 
 
-_ENUM_CACHE: dict = {}
-
-
-def _maximal_hosts(n: int, workers: int = 1, budget_nodes: int | None = None):
-    key = ("max", n, workers)
-    if key not in _ENUM_CACHE:
-        if ("all", n, workers) in _ENUM_CACHE:
-            # the full sweep is a superset; filtering it avoids a second
-            # traversal of the same search tree
-            from .enumeration import is_maximal_c4free_planar
-
-            graphs = [
-                g for g in _ENUM_CACHE[("all", n, workers)]
-                if is_maximal_c4free_planar(g)
-            ]
-        else:
-            graphs = []
-            for index in range(workers):
-                task = EnumerationTask(
-                    n=n, mode="c4free_planar", maximal_only=True,
-                    split=(index, workers),
-                )
-                graphs.extend(enumerate_c4free_planar(task, budget_nodes).graphs)
-            graphs.sort(key=lambda g: canonical_form(g).form)
-        _ENUM_CACHE[key] = tuple(graphs)
-    return _ENUM_CACHE[key]
-
-
 def verify_pr_upper(
     n_wheel: int,
     host_order: int,
-    workers: int = 1,
     budget_nodes: int | None = None,
     enumeration_cap: int = ENUMERATION_CAP,
 ) -> Certificate:
@@ -138,8 +87,10 @@ def verify_pr_upper(
     if host_order > enumeration_cap:
         return _finish(claim, started, "infeasible", False,
                        host_order=host_order, cap=enumeration_cap)
+    task = EnumerationTask(n=host_order, mode="c4free_planar",
+                           maximal_only=True)
     try:
-        hosts = _maximal_hosts(host_order, workers, budget_nodes)
+        hosts = classes(task, budget_nodes).graphs
     except errors.InfeasibleScale:
         return _finish(claim, started, "infeasible", False,
                        host_order=host_order)
@@ -178,9 +129,7 @@ def verify_pr_lower(n_wheel: int) -> Certificate:
     )
 
 
-def verify_delta(
-    n: int, workers: int = 1, budget_nodes: int | None = None
-) -> Certificate:
+def verify_delta(n: int, budget_nodes: int | None = None) -> Certificate:
     """Both sides of the min-degree maximum at order n."""
     started = time.time()
     claim = f"delta.n{n}"
@@ -195,15 +144,14 @@ def verify_delta(
                   witness_ops=len(trace.ops))
     if n <= 12:
         method = "enumeration"
-        total = 0
-        for index in range(workers):
-            task = EnumerationTask(
-                n=n, mode="c4free_planar", min_degree=claimed + 1,
-                split=(index, workers),
-            )
-            total += enumerate_c4free_planar(task, budget_nodes).count
-        upper_ok = total == 0
-        counts["deeper_min_degree_classes"] = total
+        task = EnumerationTask(n=n, mode="c4free_planar",
+                               min_degree=claimed + 1)
+        try:
+            total = classes(task, budget_nodes).count
+            upper_ok = total == 0
+            counts["deeper_min_degree_classes"] = total
+        except errors.InfeasibleScale:
+            upper_ok = None  # the budget cut the sweep short
     elif claimed == 3 and n <= 29:
         # min degree 4 needs 2n edges; 14n > 15(n-2) for n < 30
         method = "edge_bound"
@@ -216,46 +164,18 @@ def verify_delta(
         # 31..43 outside A: no upper-bound argument is checkable at desk
         # scale; only the witness side is certified
         method = "none"
-        upper_ok = False
+        upper_ok = None
     counts["upper_bound_method"] = method
     if not lower_ok:
         verdict = "refuted"
-    elif method == "none":
+    elif upper_ok is None:
         verdict = "infeasible"
     else:
         verdict = "verified" if upper_ok else "refuted"
     return _finish(
-        claim, started, verdict, method == "enumeration",
+        claim, started, verdict,
+        method == "enumeration" and upper_ok is not None,
         [to_graph6(g)], **counts,
-    )
-
-
-def delta_verdict(n: int) -> DeltaVerdict:
-    trace = build_delta_witness(n)
-    if n <= 12:
-        method = "enumeration"
-    elif delta_target(n) == 4 or n <= 29:
-        method = "edge_bound"
-    else:
-        method = "none"
-    return DeltaVerdict(n, delta_target(n), trace, method)
-
-
-def pr_table(n_wheel: int) -> RamseyVerdict:
-    """The claimed value plus fresh verification at feasible orders."""
-    claimed = pr_target(n_wheel)
-    lower = verify_pr_lower(n_wheel)
-    upper_ok = False
-    if claimed <= ENUMERATION_CAP:
-        upper = verify_pr_upper(n_wheel, claimed)
-        upper_ok = upper.verdict == "verified"
-    witness = from_graph6(lower.witnesses[0]) if lower.witnesses else None
-    return RamseyVerdict(
-        n_wheel=n_wheel,
-        claimed_pr=claimed,
-        lower_ok=lower.verdict == "verified",
-        upper_ok=upper_ok,
-        lower_witness=witness,
     )
 
 
@@ -306,30 +226,32 @@ def _degree5_dominates_sixes(g: Graph) -> bool:
     )
 
 
+_FACT_ORDERS = {"fact1": 16, "fact1_property": 16, "fact2": 17,
+                "fact2_property": 17, "fact3": 18}
+
+
 def check_fact(
     fact_id: str,
     long_running: bool = False,
-    workers: int = 1,
     budget_nodes: int | None = None,
 ) -> Certificate:
     started = time.time()
-    if fact_id in ("fact1", "fact2", "fact1_property", "fact2_property"):
-        order = 16 if "1" in fact_id else 17
-        expected = 3 if order == 16 else 4
-        graphs = _delta5_triangulations(order, workers, budget_nodes)
-        if fact_id in ("fact1", "fact2"):
-            reference = sorted(
-                canonical_form(g).form for g in _reference_triangulations(order)
-            )
-            ours = sorted(canonical_form(g).form for g in graphs)
-            ok = len(graphs) == expected and ours == reference
-            return _finish(
-                fact_id, started, "verified" if ok else "refuted", True,
-                [to_graph6(g) for g in graphs],
-                classes=len(graphs), expected=expected,
-                matches_figures=int(ours == reference),
-            )
-        if fact_id == "fact1_property":
+    if fact_id not in _FACT_ORDERS:
+        raise ValueError(f"unknown fact {fact_id!r}")
+    order = _FACT_ORDERS[fact_id]
+    if fact_id == "fact3":
+        if not long_running:
+            return _finish(fact_id, started, "infeasible", False,
+                           needs_long_running=1)
+        budget_nodes = budget_nodes or 500_000_000
+    task = EnumerationTask(n=order, mode="triangulation", min_degree=5)
+    try:
+        result = classes(task, budget_nodes)
+    except errors.InfeasibleScale:
+        return _finish(fact_id, started, "infeasible", False, order=order)
+    graphs = result.graphs
+    if fact_id in ("fact1_property", "fact2_property"):
+        if order == 16:
             bad = [g for g in graphs if _degree6_triangle_structure(g)]
         else:
             bad = [g for g in graphs if _degree5_dominates_sixes(g)]
@@ -337,62 +259,34 @@ def check_fact(
             fact_id, started, "refuted" if bad else "verified", True,
             [to_graph6(g) for g in bad], classes=len(graphs),
         )
+    reference = sorted(
+        canonical_form(g).form for g in _reference_triangulations(order)
+    )
+    matches = list(result.forms) == reference
     if fact_id == "fact3":
-        if not long_running:
-            return _finish(fact_id, started, "infeasible", False,
-                           needs_long_running=1)
-        graphs = _delta5_triangulations(
-            18, workers, budget_nodes if budget_nodes else 500_000_000
-        )
-        reference = sorted(
-            canonical_form(g).form for g in _reference_triangulations(18)
-        )
-        ours = sorted(canonical_form(g).form for g in graphs)
         bad = []
         for g in graphs:
             high = tuple(v for v in range(g.n) if g.degree(v) >= 6)
             sub = g.induced(high)
             if sub.n >= 5 and cycle_of_length(sub, 5) is not None:
                 bad.append(g)
-        verdict = "verified" if not bad and ours == reference else "refuted"
+        verdict = "verified" if not bad and matches else "refuted"
         return _finish(
             fact_id, started, verdict, True,
             [to_graph6(g) for g in bad], classes=len(graphs),
-            matches_frozen_census=int(ours == reference),
+            matches_frozen_census=int(matches),
         )
-    raise ValueError(f"unknown fact {fact_id!r}")
-
-
-def _delta5_triangulations(order, workers, budget_nodes):
-    key = ("tri", order, workers)
-    if key not in _ENUM_CACHE:
-        graphs = []
-        for index in range(workers):
-            task = EnumerationTask(
-                n=order, mode="triangulation", min_degree=5,
-                split=(index, workers),
-            )
-            graphs.extend(enumerate_triangulations(task, budget_nodes).graphs)
-        graphs.sort(key=lambda g: canonical_form(g).form)
-        _ENUM_CACHE[key] = tuple(graphs)
-    return _ENUM_CACHE[key]
+    expected = 3 if order == 16 else 4
+    ok = len(graphs) == expected and matches
+    return _finish(
+        fact_id, started, "verified" if ok else "refuted", True,
+        [to_graph6(g) for g in graphs],
+        classes=len(graphs), expected=expected,
+        matches_figures=int(matches),
+    )
 
 
 # -- lemma sweeps ---------------------------------------------------------
-
-
-def _all_c4free_planar(n: int, workers: int = 1, budget_nodes=None):
-    key = ("all", n, workers)
-    if key not in _ENUM_CACHE:
-        graphs = []
-        for index in range(workers):
-            task = EnumerationTask(
-                n=n, mode="c4free_planar", split=(index, workers),
-            )
-            graphs.extend(enumerate_c4free_planar(task, budget_nodes).graphs)
-        graphs.sort(key=lambda g: canonical_form(g).form)
-        _ENUM_CACHE[key] = tuple(graphs)
-    return _ENUM_CACHE[key]
 
 
 def _lemma16_holds(g: Graph) -> bool:
@@ -424,7 +318,7 @@ def _lemma16_holds(g: Graph) -> bool:
 
 
 def lemma_property_suite(
-    n_max: int = ENUMERATION_CAP, workers: int = 1, budget_nodes=None
+    n_max: int = ENUMERATION_CAP, budget_nodes=None
 ) -> Certificate:
     """Sweep Lemmas 15, 16, 17 (cycle form) and the pancyclicity lemma over
     every enumerated C4-free planar graph up to n_max vertices."""
@@ -435,8 +329,15 @@ def lemma_property_suite(
         return _finish("lemmas", started, "infeasible", False, n_max=n_max)
     violations = []
     checked = dict(lemma15=0, lemma16=0, lemma17=0, pancyclic=0)
+    exhaustive = True
     for n in range(2, n_max + 1):
-        for g in _all_c4free_planar(n, workers, budget_nodes):
+        task = EnumerationTask(n=n, mode="c4free_planar")
+        try:
+            graphs = classes(task, budget_nodes).graphs
+        except errors.InfeasibleScale:
+            exhaustive = False  # the budget cut the sweep at order n
+            break
+        for g in graphs:
             comp = g.complement()
             checked["lemma15"] += 1
             if independence_number(comp) > 3:
@@ -455,11 +356,14 @@ def lemma_property_suite(
                 checked["lemma17"] += 1
                 if n - 1 >= 6 and cycle_of_length(comp, n - 1) is None:
                     violations.append(("lemma17", to_graph6(g)))
-    verdict = "refuted" if violations else "verified"
+    if violations:
+        verdict = "refuted"
+    else:
+        verdict = "verified" if exhaustive else "infeasible"
     # the wheel-extraction lemma needs host order >= 12, past the sweep
     # range, so it is recorded as out of range rather than tested
     return _finish(
-        "lemmas", started, verdict, True,
+        "lemmas", started, verdict, exhaustive,
         [w for _, w in violations[:10]],
         violations=len(violations), wheel_lemma_out_of_range=1, **checked,
     )

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from planram import errors, ramsey
+from planram import enumeration, errors, ramsey
 from planram.canon import canonical_form
 from planram.construct import (
     build_delta_witness,
@@ -26,7 +26,7 @@ from planram.construct import (
 )
 from planram.enumeration import (
     EnumerationTask,
-    enumerate_c4free_planar,
+    classes,
     enumerate_triangulations,
 )
 from planram.formats import to_graph6
@@ -48,13 +48,17 @@ def report(num, ok, msg=""):
     print(line, flush=True)
 
 
+def c4free_planar(n):
+    return classes(EnumerationTask(n=n, mode="c4free_planar")).graphs
+
+
 @pytest.fixture(scope="module")
 def warm_sweeps():
     """Fill the shared enumeration cache once; the upper-bound hosts are
     then derived by filtering instead of a second traversal."""
     for n in range(2, 12):
-        ramsey._all_c4free_planar(n)
-    return ramsey._ENUM_CACHE
+        c4free_planar(n)
+    return enumeration._CLASSES
 
 
 @pytest.mark.xfail(
@@ -72,7 +76,7 @@ def test_criterion_1_edge_identity(warm_sweeps):
     # sweep connected graphs at small orders under a default embedding
     bad = []
     for n in range(2, 9):
-        for g in ramsey._all_c4free_planar(n):
+        for g in c4free_planar(n):
             if not g.is_connected():
                 continue
             r = edge_identity_residual(embed(g))
@@ -302,16 +306,19 @@ def test_criterion_7_lemma_suite(warm_sweeps):
     assert ok
 
 
-def test_criterion_8_determinism(warm_sweeps):
-    pairs = [
-        (ramsey.verify_pr_upper(6, 9, workers=1),
-         ramsey.verify_pr_upper(6, 9, workers=3)),
-        (ramsey.verify_delta(8, workers=1),
-         ramsey.verify_delta(8, workers=4)),
-        (ramsey.lemma_property_suite(8, workers=1),
-         ramsey.lemma_property_suite(8, workers=2)),
-    ]
-    ok = all(a.payload() == b.payload() for a, b in pairs)
-    report(8, ok, f"{len(pairs)} certificate pairs byte-identical modulo "
-           "runtime across worker counts")
+def test_criterion_8_determinism(warm_sweeps, monkeypatch):
+    def certificates():
+        return [ramsey.verify_pr_upper(6, 9), ramsey.verify_delta(8),
+                ramsey.lemma_property_suite(8)]
+
+    warm = certificates()
+    # on a cleared cache the maximal hosts come from their own traversal
+    # instead of a filtered full sweep
+    monkeypatch.setattr(enumeration, "_CLASSES", {})
+    cold = certificates()
+    ok = all(a.payload() == b.payload() for a, b in zip(warm, cold))
+    ok &= ramsey.verify_delta(33).verdict == "infeasible"
+    report(8, ok, f"{len(warm)} certificates byte-identical modulo runtime "
+           "on a warm and a cleared enumeration cache; delta.n33 stays "
+           "infeasible")
     assert ok

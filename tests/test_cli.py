@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run(args, stdin=None):
     return subprocess.run(
@@ -128,3 +130,56 @@ def test_enumerate_maximal_only_planar_code():
     lines = stats.stdout.decode().splitlines()
     assert len(lines) == len(g6.stdout.split()) > 0
     assert all("faces=-" not in line for line in lines)
+
+
+def payload(stdout):
+    cert = json.loads(stdout)
+    del cert["runtime_ms"]
+    return cert
+
+
+def test_workers_do_not_change_the_certificate():
+    args = ["verify", "pr-upper", "--wheel", "6", "--host", "9"]
+    one = run([*args, "--workers", "1"])
+    three = run([*args, "--workers", "3"])
+    assert one.returncode == three.returncode == 0
+    assert payload(one.stdout) == payload(three.stdout)
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["stats"], b"zz~~"),
+    (["dual"], b">>planar_code<<\x05\x02"),
+    # K4 with every rotation in one cyclic order: a torus, not a plane
+    (["dual"], b">>planar_code<<\x04\x02\x03\x04\x00\x01\x03\x04\x00"
+               b"\x01\x02\x04\x00\x01\x02\x03\x00"),
+    (["enumerate", "--n", "0"], None),
+    (["enumerate", "--n", "70"], None),
+    (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None),
+    (["verify", "delta", "--n", "70"], None),
+], ids=["graph6", "planar_code", "torus", "n0", "n70", "host-below-wheel", "delta70"])
+def test_bad_input_is_a_usage_error(args, stdin):
+    out = run(args, stdin=stdin)
+    assert out.returncode == 64
+    assert out.stdout == b""
+    assert out.stderr.startswith(b"error: ")
+    assert b"Traceback" not in out.stderr
+
+
+def test_infeasible_order_reports_its_own_reason():
+    out = run(["enumerate", "--mode", "triangulation", "--n", "3"])
+    assert out.returncode == 2
+    assert b"orders supported" in out.stderr
+    assert b"budget" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "delta", "--n", "9"],
+    ["verify", "lemmas", "--n", "7"],
+    ["verify", "fact", "--id", "fact1"],
+], ids=["delta", "lemmas", "fact"])
+def test_budget_cut_prints_an_infeasible_certificate(args):
+    out = run([*args, "--budget-nodes", "10"])
+    assert out.returncode == 2
+    cert = json.loads(out.stdout)
+    assert cert["verdict"] == "infeasible"
+    assert not cert["exhaustive"]

@@ -2,16 +2,19 @@
 
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from planram import errors
+from planram import enumeration, errors
 from planram.canon import canonical_form, marked_pair_form
 from planram.cli import main
+from planram.construct import build_ramsey_lower_witness
 from planram.enumeration import (
     EnumerationTask,
     _edge_invariant,
     _edge_is_canonical,
+    classes,
     enumerate_c4free_planar,
     enumerate_triangulations,
     is_maximal_c4free_planar,
@@ -25,13 +28,18 @@ from planram.planarity import embed, is_planar
 # the first six; the larger ones are pinned for regression)
 C4FREE_PLANAR_COUNTS = [1, 2, 4, 8, 18, 44, 117, 351]
 
-# SHA-256 of the graph6 streams of `planram enumerate --n 9` and of
-# `planram enumerate --n 9 --maximal-only`: the frozen counts pin how many
-# classes there are, these pin which representatives and in what order
+# SHA-256 of the output streams of `planram enumerate` with these
+# arguments: the frozen counts pin how many classes there are, these pin
+# which representatives, in what order, and for planar_code which rotations
 STREAM_SHA256 = {
-    (): "230e0f67565c22911fd3bca6876fe94668f25ad87200087756226c6e7c544b04",
-    ("--maximal-only",):
+    ("--n", "9"):
+        "230e0f67565c22911fd3bca6876fe94668f25ad87200087756226c6e7c544b04",
+    ("--n", "9", "--maximal-only"):
         "f25918dc3f19057949c04f88b62ed46ab007219e9550147dc13a3aadcd8f01b9",
+    ("--mode", "triangulation", "--n", "10", "--format", "planar_code"):
+        "cf3052aea3eb47ff53b2a073744464174a89eb72f09aed6d204e188d8e727782",
+    ("--mode", "triangulation", "--min-degree", "5", "--n", "14"):
+        "e938ff88ef9de7134a96791d948a27163a901563d40f79e22de1ac742563ac75",
 }
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
 
@@ -66,11 +74,41 @@ def test_counts_frozen_values():
         assert count(n) == C4FREE_PLANAR_COUNTS[n - 1]
 
 
-def test_enumerate_stream_fingerprint(capsys):
-    for flags, digest in STREAM_SHA256.items():
-        assert main(["enumerate", "--n", "9", *flags]) == 0
-        stream = capsys.readouterr().out.encode()
-        assert hashlib.sha256(stream).hexdigest() == digest, flags
+def test_enumerate_stream_fingerprint(capsysbinary):
+    for args, digest in STREAM_SHA256.items():
+        assert main(["enumerate", *args]) == 0
+        stream = capsysbinary.readouterr().out
+        assert hashlib.sha256(stream).hexdigest() == digest, args
+
+
+def test_forms_are_the_canonical_forms_in_increasing_order():
+    for n in range(1, 9):
+        results = [enumerate_c4free_planar(
+            EnumerationTask(n=n, mode="c4free_planar"))]
+        if n >= 4:
+            results.append(enumerate_triangulations(
+                EnumerationTask(n=n, mode="triangulation")))
+        for r in results:
+            assert r.forms == tuple(canonical_form(g).form for g in r.graphs)
+            assert all(a < b for a, b in zip(r.forms, r.forms[1:]))
+
+
+def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CLASSES", {})
+    full = EnumerationTask(n=9, mode="c4free_planar")
+    maximal = replace(full, maximal_only=True)
+    direct = enumerate_c4free_planar(maximal)
+    classes(full)
+
+    def traversal(*args, **kwargs):
+        raise AssertionError("the full sweep is cached; no traversal needed")
+
+    monkeypatch.setattr(enumeration, "enumerate_c4free_planar", traversal)
+    # the W3 lower witness is a maximal host of order 9
+    assert build_ramsey_lower_witness(3).n == 9
+    filtered = classes(maximal)
+    assert filtered.graphs == direct.graphs
+    assert filtered.forms == direct.forms
 
 
 def full_edge_is_canonical(g, u, v):

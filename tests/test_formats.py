@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from planram import errors
 from planram.formats import (
+    PLANAR_CODE_HEADER,
     from_graph6,
     from_planar_code,
     rotation_to_graph,
@@ -12,7 +16,7 @@ from planram.formats import (
     to_planar_code,
 )
 from planram.graphs import Graph
-from planram.planarity import embed
+from planram.planarity import PlaneEmbedding, embed
 
 
 def random_graph(n, p, rng):
@@ -56,3 +60,37 @@ def test_rotation_to_graph():
     e = embed(Graph.wheel(5))
     g = rotation_to_graph(e.rotation)
     assert g.adj == Graph.wheel(5).adj
+
+
+@given(st.one_of(st.text(), st.binary().map(lambda b: b.decode("latin-1"))))
+def test_graph6_garbage_raises_only_bad_input(text):
+    try:
+        g = from_graph6(text)
+    except errors.BadInput:
+        return
+    assert from_graph6(to_graph6(g)).adj == g.adj
+
+
+def _planar_code_like(adjacency):
+    """One planar_code graph from 1-based neighbour lists, valid or not."""
+    out = bytearray([len(adjacency)])
+    for nbrs in adjacency:
+        out += bytes(nbrs) + b"\0"
+    return bytes(out)
+
+
+near_valid = st.lists(st.lists(st.integers(1, 6), max_size=4),
+                      min_size=1, max_size=6).map(_planar_code_like)
+
+
+@given(st.one_of(st.binary(), near_valid), st.booleans())
+@example(b"\x02\x02\x00\x00", False)  # 1 lists 2, 2 lists nothing
+@example(b"\x02\x02\x02\x00\x01\x00", False)  # 1 lists 2 twice
+def test_planar_code_garbage_raises_only_bad_input(blob, header):
+    try:
+        rotations = from_planar_code(PLANAR_CODE_HEADER + blob if header
+                                     else blob)
+    except errors.BadInput:
+        return
+    for rotation in rotations:
+        PlaneEmbedding(rotation_to_graph(rotation), rotation)
