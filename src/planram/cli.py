@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__, errors
 from .construct import (
@@ -91,8 +92,14 @@ def _write_graphs(graphs, fmt, out):
             out.write(to_graph6(g) + "\n")
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+@contextmanager
+def _output(path):
+    """The --out file, closed on exit, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as out:
+        yield out
 
 
 def _budget(args):
@@ -103,13 +110,9 @@ def _budget(args):
 
 
 def _emit_certs(certs, args):
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for c in certs:
             out.write(c.to_json() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     verdicts = {c.verdict for c in certs}
     if "refuted" in verdicts:
         return EXIT_REFUTED
@@ -132,12 +135,8 @@ def cmd_enumerate(args):
                            min_degree=args.min_degree,
                            maximal_only=args.maximal_only)
     graphs = classes(task, _budget(args)).graphs
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_graphs(graphs, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -169,36 +168,27 @@ def cmd_construct(args):
     else:  # witness
         graphs = [build_ramsey_lower_witness(args.wheel)]
         trace = None
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if trace is not None and args.format == "trace":
             out.write(f"seed {trace.seed}\n")
             for op in trace.ops:
                 out.write(" ".join(str(x) for x in op) + "\n")
         else:
             _write_graphs(graphs, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def cmd_dual(args):
     duals = [vertex_edge_dual(e) for e in _read_embeddings()]
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for d in duals:
             out.write(to_graph6(d) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def cmd_identity(args):
     status = EXIT_OK
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for e in _read_embeddings():
             try:
                 r = edge_identity_residual(e)
@@ -209,15 +199,11 @@ def cmd_identity(args):
             out.write(f"{r}\n")
             if r != 0:
                 status = EXIT_REFUTED
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return status
 
 
 def cmd_stats(args):
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for g, e in _read_inputs():
             if e is not None:
                 census = e.face_census()
@@ -230,9 +216,6 @@ def cmd_stats(args):
                 f"n={g.n} eps={g.edge_count} degrees={DegreeSequence.of(g)} "
                 f"tau={gamma(g).tau} faces={faces}\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

@@ -1,30 +1,31 @@
 """Isomorph-free exhaustive generation.
 
-Two generators, both canonical-construction-path searches:
+One canonical-construction-path search (McKay 1998), ``_search``, walks
+the tree breadth first, drops per-parent duplicate children by canonical
+form and returns the output sorted by that form.  A child survives iff
+the element its augmentation created is canonical in it, which
+``_is_canonical`` decides from an edge invariant, then marked-pair forms
+among the edges that tie; with the per-parent dedup this gives
+exactly-once emission.  Two augmentation rules feed it:
 
 * C4-free planar graphs of a given order, by edge augmentation from the
-  empty graph.  A child with edge e survives iff e lies in the canonical
-  deletion orbit of the child, and per-parent duplicate children are
-  removed by canonical form, which together give exactly-once emission.
-  Each candidate edge uv is filtered cheapest-first: non-edge, C4,
-  min-degree deficit, canonicity, planarity, then per-parent dedup.
-  Every filter is a predicate of (parent, u, v) alone, so the order
-  changes the cost and never the children.  Planarity rarely rejects
-  and is decided from one embedding of the parent: when u and v share a
-  face (or lie in different components) the new edge can be drawn inside
-  that face, so the child is planar.  Only the remaining candidates go
-  to a full planarity test.
+  empty graph; the invariant ranks every edge of the child.  Each
+  candidate edge uv is filtered cheapest-first: non-edge, C4, min-degree
+  deficit, canonicity, planarity.  Every filter is a predicate of
+  (parent, u, v) alone, so the order changes the cost and never the
+  children.  Planarity rarely rejects and is decided from one embedding
+  of the parent: when u and v share a face (or lie in different
+  components) the new edge can be drawn inside that face, so the child
+  is planar.  Only the remaining candidates go to a full planarity test.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
   an edge whose endpoints have exactly two common neighbours; every simple
   triangulation on five or more vertices has such an edge, so the search
-  tree is rooted at K4.
+  tree is rooted at K4, and the invariant ranks the contractible edges.
 
-Both generators return their classes sorted by canonical form, using the
-form each class was deduplicated by.  ``classes`` is the one way the rest
-of the toolkit asks for a class list: it runs each task at most once per
-process.
+``classes`` is the one way the rest of the toolkit asks for a class list:
+it runs each task at most once per process.
 
 A task's ``split`` restricts the breadth-first frontier at a fixed depth
 to the indices congruent to one residue, so the union over the residues
@@ -125,34 +126,58 @@ class _Budget:
             )
 
 
-def _take_split(frontier, split):
-    index, count = split
-    if count == 1:
-        return frontier
-    return [g for i, g in enumerate(frontier) if i % count == index]
+def _search(task: EnumerationTask, roots, visit, split_depth: int):
+    """The canonical-construction-path search both generators share.
+
+    States are tuples whose first item is the graph.  The tree is walked
+    breadth first from roots; ``visit(state, depth)`` returns whether the
+    state is output and an iterable of its canonical children, of which
+    those with the same canonical form as an earlier child of the same
+    parent are dropped.  At split_depth the frontier keeps the indices
+    congruent to the task's split residue; states shallower than that
+    are output by split index 0 alone, so a union over the indices
+    partitions the classes exactly.  Returns (form, state) pairs sorted
+    by canonical form.
+    """
+    index, count = task.split
+    out = []
+    frontier = [(canonical_form(s[0]).form, s) for s in roots]
+    depth = 0
+    while frontier:
+        if depth == split_depth:
+            frontier = frontier[index::count]
+        nxt = []
+        for form, state in frontier:
+            emit, children = visit(state, depth)
+            if emit and (depth >= split_depth or index == 0):
+                out.append((form, state))
+            seen = set()
+            for child in children:
+                child_form = canonical_form(child[0]).form
+                if child_form in seen:
+                    continue
+                seen.add(child_form)
+                nxt.append((child_form, child))
+        frontier = nxt
+        depth += 1
+    out.sort(key=itemgetter(0))
+    return out
 
 
-# -- C4-free planar graphs ------------------------------------------------
-
-
-def _edge_invariant(g: Graph, u: int, v: int):
-    du, dv = g.degree(u), g.degree(v)
-    return (min(du, dv), max(du, dv), (g.adj[u] & g.adj[v]).bit_count())
-
-
-def _edge_is_canonical(g: Graph, u: int, v: int) -> bool:
-    """True iff the edge uv (u < v) has the minimal edge invariant and,
-    among the edges tying with it, the minimal marked-pair form.
+def _is_canonical(g: Graph, u: int, v: int, edges, invariant) -> bool:
+    """True iff the edge uv (u < v, one of edges) has the minimal invariant
+    among edges and, among the edges tying with it, the minimal
+    marked-pair form.
 
     Marked forms are computed only when another edge ties, and only for
     the tied edges, stopping at the first one that beats uv.
     """
-    inv = _edge_invariant(g, u, v)
+    inv = invariant(g, u, v)
     rivals = []
-    for x, y in g.edges():
+    for x, y in edges:
         if x == u and y == v:
             continue
-        other = _edge_invariant(g, x, y)
+        other = invariant(g, x, y)
         if other < inv:
             return False
         if other == inv:
@@ -161,6 +186,14 @@ def _edge_is_canonical(g: Graph, u: int, v: int) -> bool:
         return True
     form = marked_pair_form(g, u, v)
     return all(marked_pair_form(g, x, y) >= form for x, y in rivals)
+
+
+# -- C4-free planar graphs ------------------------------------------------
+
+
+def _edge_invariant(g: Graph, u: int, v: int):
+    du, dv = g.degree(u), g.degree(v)
+    return (min(du, dv), max(du, dv), (g.adj[u] & g.adj[v]).bit_count())
 
 
 def enumerate_c4free_planar(
@@ -174,11 +207,6 @@ def enumerate_c4free_planar(
         raise errors.BadInput(f"order must be in 1..64, got {n}")
     budget = _Budget(budget_nodes)
     cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
-    out: list[tuple[bytes, Graph]] = []
-    root = Graph.empty(n)
-    frontier = [(canonical_form(root).form, root)]
-    depth = 0
-    split_depth = min(_SPLIT_EDGES, max(cap - 1, 0))
     t = task.min_degree
 
     def hopeless(g, edges_used):
@@ -188,54 +216,40 @@ def enumerate_c4free_planar(
         deficit = sum(t - d for d in g.degrees() if d < t)
         return deficit > 2 * (cap - edges_used)
 
-    if hopeless(root, 0):
-        frontier = []
-    while frontier:
-        if depth == split_depth:
-            frontier = _take_split(frontier, task.split)
-        # graphs below the split depth belong to split index 0 alone, so
-        # a union over the indices partitions the classes exactly
-        emit = depth >= split_depth or task.split[0] == 0
-        nxt = []
-        for g_form, g in frontier:
-            # computed on first use, then shared by the maximality test
-            # and the expansion of g
-            masks = cache(partial(cofacial_masks, g))
-            if emit and _emits(g, task, masks):
-                out.append((g_form, g))
-            if depth == cap:
-                continue
-            seen = set()
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
-                    budget.tick()
-                    if adding_edge_creates_c4(g, u, v):
-                        continue
-                    child = g.add_edge(u, v)
-                    if hopeless(child, depth + 1):
-                        continue
-                    if not _edge_is_canonical(child, u, v):
-                        continue
-                    if not masks()[u] >> v & 1 and not is_planar(child):
-                        continue
-                    form = canonical_form(child).form
-                    if form in seen:
-                        continue
-                    seen.add(form)
-                    nxt.append((form, child))
-        frontier = nxt
-        depth += 1
-    out.sort(key=itemgetter(0))
-    return EnumerationResult(len(out), tuple(g for _, g in out), None,
+    def children(g, edges_used, masks):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if g.has_edge(u, v):
+                    continue
+                budget.tick()
+                if adding_edge_creates_c4(g, u, v):
+                    continue
+                child = g.add_edge(u, v)
+                if hopeless(child, edges_used + 1):
+                    continue
+                if not _is_canonical(child, u, v, child.edges(),
+                                     _edge_invariant):
+                    continue
+                if not masks()[u] >> v & 1 and not is_planar(child):
+                    continue
+                yield (child,)
+
+    def visit(state, edges_used):
+        g = state[0]
+        # computed on first use, then shared by the maximality test and
+        # the expansion of g
+        masks = cache(partial(cofacial_masks, g))
+        emit = g.min_degree() >= t and (
+            not task.maximal_only or is_maximal_c4free_planar(g, masks()))
+        if edges_used == cap:
+            return emit, ()
+        return emit, children(g, edges_used, masks)
+
+    root = Graph.empty(n)
+    roots = [] if hopeless(root, 0) else [(root,)]
+    out = _search(task, roots, visit, min(_SPLIT_EDGES, max(cap - 1, 0)))
+    return EnumerationResult(len(out), tuple(s[0] for _, s in out), None,
                              tuple(f for f, _ in out), budget.nodes)
-
-
-def _emits(g: Graph, task: EnumerationTask, masks) -> bool:
-    if g.n and g.min_degree() < task.min_degree:
-        return False
-    return not task.maximal_only or is_maximal_c4free_planar(g, masks())
 
 
 def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
@@ -255,16 +269,6 @@ def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
             if masks[u] >> v & 1 or is_planar(g.add_edge(u, v)):
                 return False
     return True
-
-
-def max_edges_c4free_planar(n: int, budget_nodes: int | None = None) -> int:
-    """M(n): the exact maximum edge count, from the full enumeration."""
-    task = EnumerationTask(n=n, mode="c4free_planar")
-    result = enumerate_c4free_planar(task, budget_nodes=budget_nodes)
-    best = max(g.edge_count for g in result.graphs)
-    if n >= 4 and best > c4free_edge_cap(n):
-        raise AssertionError("edge bound violated; enumeration or bound is wrong")
-    return best
 
 
 # -- planar triangulations ------------------------------------------------
@@ -348,23 +352,6 @@ def _contraction_invariant(g: Graph, u: int, v: int):
     return (min(du, dv), max(du, dv), cdeg)
 
 
-def _created_edge_is_canonical(g: Graph, u: int, v: int) -> bool:
-    inv = _contraction_invariant(g, u, v)
-    best_inv = None
-    candidates = []
-    for x, y in _contractible_edges(g):
-        e_inv = _contraction_invariant(g, x, y)
-        if best_inv is None or e_inv < best_inv:
-            best_inv = e_inv
-            candidates = [(x, y)]
-        elif e_inv == best_inv:
-            candidates.append((x, y))
-    if inv != best_inv:
-        return False
-    best_form = min(marked_pair_form(g, x, y) for x, y in candidates)
-    return marked_pair_form(g, u, v) == best_form
-
-
 def _deficiency(degs) -> int:
     return sum(5 - d for d in degs if d < 5)
 
@@ -386,38 +373,25 @@ def enumerate_triangulations(
         raise errors.InfeasibleScale("triangulation orders supported: 4..18")
     budget = _Budget(budget_nodes)
     prune5 = task.min_degree == 5
-    out: list[tuple[bytes, Graph, tuple]] = []
-    k4, k4_rotation = _k4_embedding()
-    frontier = [(canonical_form(k4).form, k4, k4_rotation)]
-    order = 4
-    split_depth = min(_SPLIT_ORDER, n_target)
-    while frontier:
-        if order == split_depth:
-            frontier = _take_split(frontier, task.split)
-        if order == n_target:
-            out = [s for s in frontier if s[1].min_degree() >= task.min_degree]
-            break
-        nxt = []
-        for _, g, rot in frontier:
-            seen = set()
-            for child, child_rot in _children(g, rot, n_target, prune5,
-                                              budget):
-                form = canonical_form(child).form
-                if form in seen:
-                    continue
-                seen.add(form)
-                nxt.append((form, child, child_rot))
-        frontier = nxt
-        order += 1
-    out.sort(key=itemgetter(0))
+
+    def visit(state, depth):
+        g, rot = state
+        if g.n == n_target:
+            return g.min_degree() >= task.min_degree, ()
+        return False, _children(g, rot, n_target, prune5, budget)
+
+    # a state at depth d has 4 + d vertices
+    split_depth = min(_SPLIT_ORDER, n_target) - 4
+    out = _search(task, [_k4_embedding()], visit, split_depth)
     return EnumerationResult(
-        len(out), tuple(g for _, g, _ in out), tuple(r for _, _, r in out),
-        tuple(f for f, _, _ in out), budget.nodes)
+        len(out), tuple(g for _, (g, _) in out), tuple(r for _, (_, r) in out),
+        tuple(f for f, _ in out), budget.nodes)
 
 
 def _children(g, rot, n_target, prune5, budget):
     n = g.n
     remaining = n_target - (n + 1)
+    base = _deficiency(g.degrees())
     for w in range(n):
         rot_w = rot[w]
         d = len(rot_w)
@@ -432,11 +406,13 @@ def _children(g, rot, n_target, prune5, budget):
                             g.degree(rot_w[j]) + 1]
                     old = [d, g.degree(rot_w[i]), g.degree(rot_w[j])]
                     delta = _deficiency(degs) - _deficiency(old)
-                    base = _deficiency(g.degrees())
                     if base + delta > 2 * remaining:
                         continue
                 child, child_rot = _split_vertex(g, rot, w, i, j)
-                if not _created_edge_is_canonical(child, w, n):
+                # the new edge (w, n) has exactly the two common
+                # neighbours rot_w[i] and rot_w[j], so it is contractible
+                if not _is_canonical(child, w, n, _contractible_edges(child),
+                                     _contraction_invariant):
                     continue
                 yield child, child_rot
 

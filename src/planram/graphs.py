@@ -285,27 +285,12 @@ class WheelWitness:
         return True
 
 
-class ShortcutStats:
-    """Mutable tally of Hamiltonicity shortcut firings during wheel search."""
-
-    def __init__(self):
-        self.dirac = 0
-        self.chvatal_erdos = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"dirac": self.dirac, "chvatal_erdos": self.chvatal_erdos}
-
-
-def contains_wheel(g: Graph, m: int, stats: ShortcutStats | None = None):
+def contains_wheel(g: Graph, m: int):
     """Search for a wheel with an m-cycle rim; returns a witness or None.
 
     For each hub candidate (descending degree, then ascending id) we look for
-    an m-cycle inside the subgraph induced by its neighbourhood.  When the
-    neighbourhood has exactly m vertices, two sufficient Hamiltonicity
-    conditions are tried first: minimum degree >= half the order, and
-    independence number <= connectivity.  Both only ever conclude "a rim
-    exists"; the rim itself is still extracted by exact search so every
-    positive answer carries a verifiable witness.
+    an m-cycle inside the subgraph induced by its neighbourhood by exact
+    search, so every positive answer carries a verifiable witness.
     """
     if m < 3:
         raise errors.BadInput("rim length must be >= 3")
@@ -316,13 +301,7 @@ def contains_wheel(g: Graph, m: int, stats: ShortcutStats | None = None):
         if g.degree(hub) < m:
             continue
         nbrs = sorted(bits(g.adj[hub]))
-        sub = g.induced(nbrs)
-        if stats is not None and sub.n == m:
-            if 2 * sub.min_degree() >= sub.n:
-                stats.dirac += 1
-            elif independence_number(sub) <= connectivity(sub):
-                stats.chvatal_erdos += 1
-        rim = cycle_of_length(sub, m)
+        rim = cycle_of_length(g.induced(nbrs), m)
         if rim is not None:
             return WheelWitness(hub, tuple(nbrs[i] for i in rim))
     return None

@@ -156,7 +156,11 @@ def test_workers_do_not_change_the_certificate():
     (["enumerate", "--n", "70"], None),
     (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None),
     (["verify", "delta", "--n", "70"], None),
-], ids=["graph6", "planar_code", "torus", "n0", "n70", "host-below-wheel", "delta70"])
+    # the lemma sweep starts at order 2: a smaller n would check nothing
+    (["verify", "lemmas", "--n", "1"], None),
+    (["verify", "lemmas", "--n", "-3"], None),
+], ids=["graph6", "planar_code", "torus", "n0", "n70", "host-below-wheel",
+        "delta70", "lemmas-n1", "lemmas-n-3"])
 def test_bad_input_is_a_usage_error(args, stdin):
     out = run(args, stdin=stdin)
     assert out.returncode == 64

@@ -12,13 +12,15 @@ from planram.cli import main
 from planram.construct import build_ramsey_lower_witness
 from planram.enumeration import (
     EnumerationTask,
+    _contractible_edges,
+    _contraction_invariant,
     _edge_invariant,
-    _edge_is_canonical,
+    _is_canonical,
+    _split_vertex,
     classes,
     enumerate_c4free_planar,
     enumerate_triangulations,
     is_maximal_c4free_planar,
-    max_edges_c4free_planar,
     triangulation_check,
 )
 from planram.graphs import Graph, adding_edge_creates_c4, contains_c4
@@ -111,40 +113,61 @@ def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
     assert filtered.forms == direct.forms
 
 
-def full_edge_is_canonical(g, u, v):
-    """The canonicity rule computed in full: uv has the minimal edge
-    invariant and the minimal marked form among the edges sharing it."""
-    invariants = {e: _edge_invariant(g, *e) for e in g.edges()}
+def full_canonical_edges(g, edges, invariant):
+    """The canonicity rule computed in full: the edges with the minimal
+    invariant and, among those, the minimal marked form."""
+    invariants = {e: invariant(g, *e) for e in edges}
     best = min(invariants.values())
-    if invariants[u, v] != best:
-        return False
-    tied = [e for e, inv in invariants.items() if inv == best]
-    return marked_pair_form(g, u, v) == min(
-        marked_pair_form(g, *e) for e in tied)
+    forms = {e: marked_pair_form(g, *e)
+             for e, inv in invariants.items() if inv == best}
+    least = min(forms.values())
+    return {e for e, form in forms.items() if form == least}
 
 
-def test_edge_canonicity_matches_full_rule():
-    checked = 0
-    outcomes = set()
-    for n in range(2, 8):
+def c4free_children(n_max):
+    """Every planar C4-free child of every C4-free planar class below
+    order n_max, with the edge ranking the C4-free search uses."""
+    for n in range(2, n_max):
         task = EnumerationTask(n=n, mode="c4free_planar")
         for g in enumerate_c4free_planar(task).graphs:
             for u, v in itertools.combinations(range(n), 2):
                 if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
                     continue
                 child = g.add_edge(u, v)
-                if not is_planar(child):
-                    continue
-                best = min(_edge_invariant(child, *e) for e in child.edges())
-                for x, y in child.edges():
-                    verdict = _edge_is_canonical(child, x, y)
-                    assert verdict == full_edge_is_canonical(child, x, y)
-                    minimal = _edge_invariant(child, x, y) == best
-                    outcomes.add((minimal, verdict))
-                    checked += 1
-    assert checked > 8000
-    # both verdicts occur, including ties that only marked forms decide
-    assert outcomes == {(False, False), (True, False), (True, True)}
+                if is_planar(child):
+                    yield child, list(child.edges()), _edge_invariant
+
+
+def triangulation_children(n_max):
+    """Every vertex split of every triangulation class of order 4 to
+    n_max - 1, with the contractible edges the triangulation search ranks."""
+    for n in range(4, n_max):
+        r = enumerate_triangulations(EnumerationTask(n=n, mode="triangulation"))
+        for g, rot in zip(r.graphs, r.embeddings):
+            for w in range(n):
+                d = len(rot[w])
+                for i, j in itertools.combinations(range(d), 2):
+                    child, _ = _split_vertex(g, rot, w, i, j)
+                    yield (child, _contractible_edges(child),
+                           _contraction_invariant)
+
+
+def test_edge_canonicity_matches_full_rule():
+    for children in (c4free_children(8), triangulation_children(9)):
+        checked = 0
+        outcomes = set()
+        for child, edges, invariant in children:
+            best = min(invariant(child, *e) for e in edges)
+            canonical = full_canonical_edges(child, edges, invariant)
+            for x, y in edges:
+                verdict = _is_canonical(child, x, y, edges, invariant)
+                assert verdict == ((x, y) in canonical)
+                minimal = invariant(child, x, y) == best
+                outcomes.add((minimal, verdict))
+                checked += 1
+        assert checked > 8000
+        # both verdicts occur, including ties that only marked forms decide
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_split_partition_is_exact():
@@ -193,11 +216,32 @@ def test_every_emitted_graph_is_valid():
 def test_max_edges():
     # extremal edge counts for C4-free planar graphs at small orders;
     # the bowtie shows the order-5 value 6 is attained
-    assert max_edges_c4free_planar(4) == 4
-    assert max_edges_c4free_planar(5) == 6
-    for n in (6, 7):
-        r = enumerate_c4free_planar(EnumerationTask(n=n, mode="c4free_planar"))
-        assert max_edges_c4free_planar(n) == max(g.edge_count for g in r.graphs)
+    def max_edges(n):
+        task = EnumerationTask(n=n, mode="c4free_planar")
+        return max(g.edge_count for g in classes(task).graphs)
+
+    assert max_edges(4) == 4
+    assert max_edges(5) == 6
+
+
+# search nodes (candidate edges, candidate splits) each task visits, which
+# pins where the search ticks its budget as well as the tree it walks
+NODES_VISITED = [
+    (EnumerationTask(n=8, mode="c4free_planar"), 7184),
+    (EnumerationTask(n=9, mode="c4free_planar", maximal_only=True), 32984),
+    (EnumerationTask(n=8, mode="c4free_planar", min_degree=2), 7184),
+    (EnumerationTask(n=7, mode="c4free_planar", split=(1, 3)), 673),
+    (EnumerationTask(n=11, mode="triangulation"), 29444),
+    (EnumerationTask(n=8, mode="triangulation", split=(2, 4)), 372),
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 62155),
+]
+
+
+def test_nodes_visited_frozen():
+    for task, nodes in NODES_VISITED:
+        generate = (enumerate_triangulations if task.mode == "triangulation"
+                    else enumerate_c4free_planar)
+        assert generate(task).nodes_visited == nodes, task
 
 
 def test_budget_exhaustion_raises():
