@@ -23,6 +23,14 @@ exactly-once emission.  Two augmentation rules feed it:
   an edge whose endpoints have exactly two common neighbours; every simple
   triangulation on five or more vertices has such an edge, so the search
   tree is rooted at K4, and the invariant ranks the contractible edges.
+  Most splits are rejected before the child is built (plantri-style
+  look-ahead, Brinkmann and McKay 2007): the created edge's invariant
+  is known from the parent's degrees, and so is the child invariant of
+  every contractible edge with an end outside the closed neighbourhood
+  of the split vertex, since a split changes only degrees and common
+  neighbours inside that neighbourhood.  A split where such an edge
+  ranks strictly below the created edge is one ``_is_canonical`` would
+  reject, so skipping it changes neither the children nor their order.
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
 it runs each task at most once per process.
@@ -352,10 +360,6 @@ def _contraction_invariant(g: Graph, u: int, v: int):
     return (min(du, dv), max(du, dv), cdeg)
 
 
-def _deficiency(degs) -> int:
-    return sum(5 - d for d in degs if d < 5)
-
-
 def enumerate_triangulations(
     task: EnumerationTask, budget_nodes: int | None = None
 ) -> EnumerationResult:
@@ -389,32 +393,99 @@ def enumerate_triangulations(
 
 
 def _children(g, rot, n_target, prune5, budget):
+    """The canonical vertex splits of the triangulation g, in split order.
+
+    Only splits that ``_open_splits`` leaves open are built; each built
+    child is kept iff its created edge passes ``_is_canonical``.
+    """
     n = g.n
-    remaining = n_target - (n + 1)
-    base = _deficiency(g.degrees())
+    for w, i, j in _open_splits(g, rot, n_target, prune5, budget):
+        child, child_rot = _split_vertex(g, rot, w, i, j)
+        # the new edge (w, n) has exactly the two common neighbours
+        # rot_w[i] and rot_w[j], so it is contractible
+        if _is_canonical(child, w, n, _contractible_edges(child),
+                         _contraction_invariant):
+            yield child, child_rot
+
+
+def _open_splits(g, rot, n_target, prune5, budget):
+    """The splits (w, i, j) of g that survive two tests made on g alone.
+
+    Every split ticks the budget once.  With prune5, a split is dropped
+    when the degree deficiency sum(max(0, 5 - deg)) left after it exceeds
+    twice the splits remaining.  Then the look-ahead drops a split when
+    some edge of the child would have a strictly smaller contraction
+    invariant than the created edge, a child ``_is_canonical`` rejects.
+
+    The look-ahead is exact for edges with an end outside N[w], the
+    closed neighbourhood of w in g.  Splitting w at a = rot_w[i] and
+    b = rot_w[j] changes only the degrees of w, the new vertex, a and b
+    (a and b gain one each) and the adjacency among N[w] and the new
+    vertex.  An edge xy of the child with x outside N[w] is therefore an
+    edge of g with the same common neighbours, so it is contractible in
+    the child iff in g, and its child invariant is its invariant in g
+    with the degrees of a and b raised by one.  Raising degrees never
+    lowers an invariant, so the walk over g's contractible edges, in
+    increasing invariant, stops at the first one not below the created
+    edge's invariant, which is known before the split.
+    """
+    n = g.n
+    degs = g.degrees()
+    short = [max(0, 5 - d) for d in degs]
+    spare = 2 * (n_target - (n + 1)) - sum(short)
+    needy = [s > 0 for s in short]
+    # g's contractible edges by increasing invariant, as flat tuples
+    # (min deg, max deg, lower, higher common-neighbour degree), which
+    # order as _contraction_invariant does
+    ranked = []
+    for u, v in _contractible_edges(g):
+        common = g.adj[u] & g.adj[v]
+        c, e = bits(common)
+        du, dv, dc, de = degs[u], degs[v], degs[c], degs[e]
+        inv = (min(du, dv), max(du, dv), min(dc, de), max(dc, de))
+        ranked.append((inv, u, v, c, e, (1 << u) | (1 << v) | common))
+    ranked.sort(key=itemgetter(0))
     for w in range(n):
         rot_w = rot[w]
         d = len(rot_w)
+        # the deficiency change of a split of w at this arc, before a and
+        # b each gain a degree
+        halves = [max(0, 3 - arc) + max(0, 3 - d + arc) - short[w]
+                  for arc in range(d)]
+        closed = g.adj[w] | 1 << w
+        outside = [r for r in ranked
+                   if ((1 << r[1]) | (1 << r[2])) & ~closed]
         for i in range(d):
+            a = rot_w[i]
             for j in range(i + 1, d):
+                b = rot_w[j]
                 arc = j - i  # halves get degrees arc+2 and d-arc+2, both >= 3
                 budget.tick()
-                if prune5:
-                    # degree changes under this split, before building it
-                    d1, d2 = arc + 2, d - arc + 2
-                    degs = [d1, d2, g.degree(rot_w[i]) + 1,
-                            g.degree(rot_w[j]) + 1]
-                    old = [d, g.degree(rot_w[i]), g.degree(rot_w[j])]
-                    delta = _deficiency(degs) - _deficiency(old)
-                    if base + delta > 2 * remaining:
-                        continue
-                child, child_rot = _split_vertex(g, rot, w, i, j)
-                # the new edge (w, n) has exactly the two common
-                # neighbours rot_w[i] and rot_w[j], so it is contractible
-                if not _is_canonical(child, w, n, _contractible_edges(child),
-                                     _contraction_invariant):
+                if prune5 and halves[arc] - needy[a] - needy[b] > spare:
                     continue
-                yield child, child_rot
+                da, db = degs[a] + 1, degs[b] + 1
+                d1, d2 = arc + 2, d - arc + 2
+                created = (min(d1, d2), max(d1, d2), min(da, db), max(da, db))
+                if not _beaten(outside, created, a, b, degs):
+                    yield w, i, j
+
+
+def _beaten(outside, created, a, b, degs) -> bool:
+    """True iff an edge of outside, after the split at a and b, has an
+    invariant strictly below created."""
+    touched = (1 << a) | (1 << b)
+    for inv, u, v, c, e, span in outside:
+        if inv >= created:
+            return False
+        if not span & touched:
+            return True  # its invariant is unchanged
+        du = degs[u] + (u == a or u == b)
+        dv = degs[v] + (v == a or v == b)
+        dc = degs[c] + (c == a or c == b)
+        de = degs[e] + (e == a or e == b)
+        if (min(du, dv), max(du, dv), min(dc, de), max(dc, de)) < created:
+            return True
+    return False
 
 
 def triangulation_check(g: Graph, rotation) -> None:

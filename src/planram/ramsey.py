@@ -18,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 
 from . import errors
 from .canon import canonical_form
@@ -285,19 +286,32 @@ def check_fact(
 # -- lemma sweeps ---------------------------------------------------------
 
 
+def _three_connected(g: Graph) -> bool:
+    """True iff g has at least four vertices and no set of at most two
+    vertices disconnects it, that is iff ``graphs.connectivity(g) > 2``."""
+    n = g.n
+    if n < 4:
+        return False
+    full = (1 << n) - 1
+    cuts = [0, *(1 << x for x in range(n)),
+            *((1 << x) | (1 << y) for x, y in combinations(range(n), 2))]
+    for cut in cuts:
+        rest = full & ~cut
+        start = (rest & -rest).bit_length() - 1
+        if g.component_mask(start, forbidden=cut) != rest:
+            return False
+    return True
+
+
 def _lemma16_holds(g: Graph) -> bool:
     """A cut pair of the complement isolates a single vertex z, and the
     graph minus {x, y, z} has no path of length 2."""
-    from .graphs import connectivity
-
     comp = g.complement()
-    if connectivity(comp) > 2:
+    if _three_connected(comp):
         return True  # hypothesis empty
     n = g.n
     for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
+        for y in range(x + 1, n):
             blocked = (1 << x) | (1 << y)
             for z in range(n):
                 if z == x or z == y:

@@ -1,16 +1,24 @@
 """Command line interface: routing, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run(args, stdin=None):
+    # the child finds planram in this checkout, whether or not the caller
+    # put src on PYTHONPATH
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "planram.cli", *args],
-        input=stdin, capture_output=True, timeout=600)
+        input=stdin, capture_output=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path})
 
 
 def test_enumerate_graph6_stream():

@@ -15,7 +15,9 @@ from planram.enumeration import (
     _contractible_edges,
     _contraction_invariant,
     _edge_invariant,
+    _Budget,
     _is_canonical,
+    _open_splits,
     _split_vertex,
     classes,
     enumerate_c4free_planar,
@@ -138,18 +140,23 @@ def c4free_children(n_max):
                     yield child, list(child.edges()), _edge_invariant
 
 
-def triangulation_children(n_max):
-    """Every vertex split of every triangulation class of order 4 to
-    n_max - 1, with the contractible edges the triangulation search ranks."""
+def triangulation_splits(n_max):
+    """(g, rot, w, i, j) for every vertex split of every triangulation
+    class of order 4 to n_max - 1."""
     for n in range(4, n_max):
         r = enumerate_triangulations(EnumerationTask(n=n, mode="triangulation"))
         for g, rot in zip(r.graphs, r.embeddings):
             for w in range(n):
-                d = len(rot[w])
-                for i, j in itertools.combinations(range(d), 2):
-                    child, _ = _split_vertex(g, rot, w, i, j)
-                    yield (child, _contractible_edges(child),
-                           _contraction_invariant)
+                for i, j in itertools.combinations(range(len(rot[w])), 2):
+                    yield g, rot, w, i, j
+
+
+def triangulation_children(n_max):
+    """Every vertex split of every triangulation class of order 4 to
+    n_max - 1, with the contractible edges the triangulation search ranks."""
+    for g, rot, w, i, j in triangulation_splits(n_max):
+        child, _ = _split_vertex(g, rot, w, i, j)
+        yield child, _contractible_edges(child), _contraction_invariant
 
 
 def test_edge_canonicity_matches_full_rule():
@@ -168,6 +175,48 @@ def test_edge_canonicity_matches_full_rule():
         assert checked > 8000
         # both verdicts occur, including ties that only marked forms decide
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_lookahead_rejects_only_noncanonical_splits():
+    # every split of every class of orders 4-10: the tree of the order-11
+    # search, 29,444 splits
+    opened = {}
+    outcomes = set()
+    for g, rot, w, i, j in triangulation_splits(11):
+        if g not in opened:
+            opened[g] = set(_open_splits(g, rot, 11, False, _Budget(None)))
+        child, _ = _split_vertex(g, rot, w, i, j)
+        canonical = _is_canonical(child, w, g.n, _contractible_edges(child),
+                                  _contraction_invariant)
+        passed = (w, i, j) in opened[g]
+        assert passed or not canonical, (g, w, i, j)
+        outcomes.add((passed, canonical))
+    # the look-ahead rejects splits, and leaves some non-canonical ones
+    # to the full test
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+# children built (_split_vertex calls) per task; outputs and nodes_visited
+# cannot show a look-ahead that stopped rejecting, this count does
+SPLITS_BUILT = [
+    (EnumerationTask(n=11, mode="triangulation"), 6427),
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 3229),
+]
+
+
+def test_splits_built_frozen(monkeypatch):
+    built = 0
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return _split_vertex(*args)
+
+    monkeypatch.setattr(enumeration, "_split_vertex", counting)
+    for task, splits in SPLITS_BUILT:
+        built = 0
+        enumerate_triangulations(task)
+        assert built == splits, task
 
 
 def test_split_partition_is_exact():

@@ -6,7 +6,7 @@ import pytest
 
 from planram import enumeration, errors, ramsey
 from planram.formats import from_graph6
-from planram.graphs import contains_c4, contains_wheel
+from planram.graphs import Graph, connectivity, contains_c4, contains_wheel
 from planram.planarity import is_planar
 
 
@@ -109,6 +109,23 @@ def test_lemma_suite_small():
     assert cert.counts["violations"] == 0
     assert cert.counts["lemma15"] > 0
     assert cert.counts["wheel_lemma_out_of_range"] == 1
+
+
+def test_three_connected_matches_connectivity():
+    small = [Graph.complete(k) for k in range(1, 7)]
+    small += [Graph.empty(k) for k in range(1, 5)]
+    small += [Graph.cycle(k) for k in range(3, 7)]
+    small += [Graph.wheel(k) for k in range(3, 7)]
+    complements = [
+        g.complement() for n in range(1, 10)
+        for g in enumeration.classes(
+            enumeration.EnumerationTask(n=n, mode="c4free_planar")).graphs]
+    outcomes = set()
+    for g in small + complements:
+        three = ramsey._three_connected(g)
+        assert three == (connectivity(g) > 2), g
+        outcomes.add(three)
+    assert outcomes == {False, True}
 
 
 def test_fact_property_predicates_on_reference_lists():
