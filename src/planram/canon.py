@@ -8,6 +8,12 @@ their forms are equal; the certifying permutation is returned alongside.
 An optional vertex colouring constrains the search to colour-preserving
 relabelings, which doubles as an edge-marking device: colouring the two
 endpoints of an edge makes forms comparable per edge orbit.
+
+The search also returns the automorphisms it meets on the way: two leaves
+with equal serializations differ by one, and so do two twin vertices it
+skips.  They need not generate the whole automorphism group, but every
+orbit they give lies inside a true orbit, so a caller may treat elements
+of one such orbit alike (edges in one orbit have equal marked forms).
 """
 
 from __future__ import annotations
@@ -21,70 +27,106 @@ from .graphs import Graph, bits
 class CanonicalForm:
     form: bytes
     permutation: tuple[int, ...]  # old label -> canonical label
+    # colour-preserving automorphisms found by the search (old -> new
+    # label); not necessarily generators of the whole group
+    automorphisms: tuple[tuple[int, ...], ...]
 
 
-def serialize(g: Graph) -> bytes:
-    """Vertex count byte followed by packed row-major upper-triangle bits."""
-    out = bytearray([g.n])
-    acc = 0
-    nbits = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            acc = acc << 1 | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
+def _refine(adj, cells, work=None):
+    """Equitable refinement of an ordered partition (cells are bitmasks).
 
-
-def _refine(adj, cells):
-    """Equitable refinement of an ordered partition (cells are bitmasks)."""
+    Splitters are popped from a work list that starts as work, by default
+    the given cells.  Each splitter splits every cell, in order, by the
+    number of neighbours its vertices have in the splitter, smallest count
+    first, and the parts join the work list.  The counts of all vertices
+    are held at once as bit planes (plane k: the vertices whose count has
+    bit k set), so a cell is split by masks alone, highest plane first; a
+    singleton splitter has one plane, its vertex's neighbourhood.  A
+    splitter that reaches no cell of two or more vertices splits nothing
+    and is passed over, and the work stops once every cell is a singleton.
+    """
     cells = list(cells)
-    work = list(cells)
-    while work:
+    work = list(cells if work is None else work)
+    open_ = 0  # the union of the cells of two or more vertices
+    for cell in cells:
+        if cell & (cell - 1):
+            open_ |= cell
+    while work and open_:
         splitter = work.pop()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if cell.bit_count() > 1:
-                groups: dict[int, int] = {}
-                for v in bits(cell):
-                    key = (adj[v] & splitter).bit_count()
-                    groups[key] = groups.get(key, 0) | 1 << v
-                if len(groups) > 1:
-                    new = [groups[k] for k in sorted(groups)]
-                    cells[i : i + 1] = new
-                    work.extend(new)
-                    i += len(new) - 1
-            i += 1
+        planes = []
+        while splitter:
+            low = splitter & -splitter
+            splitter ^= low
+            carry = adj[low.bit_length() - 1]
+            k = 0
+            while carry:
+                if k == len(planes):
+                    planes.append(carry)
+                    break
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+        reach = 0
+        for plane in planes:
+            reach |= plane
+        if not reach & open_:
+            continue
+        planes.reverse()
+        new = []
+        for cell in cells:
+            if cell & open_ and cell & reach:
+                parts = [cell]
+                for plane in planes:
+                    hit = cell & plane
+                    if hit and hit != cell:
+                        parts = [q for p in parts
+                                 for q in (p & ~plane, p & plane) if q]
+                if len(parts) > 1:
+                    new += parts
+                    work += parts
+                    for p in parts:
+                        if not p & (p - 1):
+                            open_ ^= p
+                    continue
+            new.append(cell)
+        cells = new
     return cells
 
 
 def _leaf_key(g: Graph, cells):
-    perm = [0] * g.n
-    order = [0] * g.n  # canonical position -> old vertex
+    """g's upper-triangle bits under the discrete partition cells, as an
+    integer, with the relabelling and its inverse.  Rows are relabelled
+    with reversed positions, so row i's bits above the diagonal are its
+    low n - 1 - i bits, highest first."""
+    n = g.n
+    perm = [0] * n
+    order = [0] * n  # canonical position -> old vertex
+    rbit = [0] * n  # old vertex -> bit of its reversed position
     for pos, cell in enumerate(cells):
         v = cell.bit_length() - 1
         perm[v] = pos
         order[pos] = v
-    # relabelled upper-triangle bits, packed
-    out = bytearray([g.n])
-    acc = 0
-    nbits = 0
-    for i in range(g.n):
-        row = g.adj[order[i]]
-        for j in range(i + 1, g.n):
-            acc = acc << 1 | (row >> order[j] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out), tuple(perm)
+        rbit[v] = 1 << (n - 1 - pos)
+    key = 0
+    for i in range(n - 1):
+        row = 0
+        nbrs = g.adj[order[i]]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= rbit[low.bit_length() - 1]
+        width = n - 1 - i
+        key = key << width | row & ((1 << width) - 1)
+    return key, tuple(perm), order
+
+
+def _serialization(n: int, key: int) -> bytes:
+    """Vertex count byte, then the upper-triangle bits of key packed
+    highest first and padded with zeros to whole bytes."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 7) // 8
+    return bytes([n]) + (key << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
 
 
 def canonical_form(g: Graph, colors=None) -> CanonicalForm:
@@ -93,35 +135,52 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
     ``colors`` maps vertices to small integers; vertices of distinct colours
     are never interchanged.  Unlisted vertices default to colour 0.
     """
+    n = g.n
     if colors:
         groups: dict[int, int] = {}
-        for v in range(g.n):
+        for v in range(n):
             c = colors.get(v, 0)
             groups[c] = groups.get(c, 0) | 1 << v
         initial = [groups[c] for c in sorted(groups)]
     else:
-        initial = [(1 << g.n) - 1]
+        initial = [(1 << n) - 1]
     adj = g.adj
     cells = _refine(adj, initial)
-    best: list = [None, None]
+    best: list = [None, None, None]  # key, permutation, order
+    automorphisms = []
 
     def descend(cells):
         for idx, cell in enumerate(cells):
-            if cell.bit_count() > 1:
+            if cell & (cell - 1):
                 tried: list[int] = []
                 for v in bits(cell):
-                    if any(_twins(adj, u, v) for u in tried):
+                    twin = next((u for u in tried if _twins(adj, u, v)), None)
+                    if twin is not None:
+                        # v's branch is twin's with the two swapped
+                        swap = list(range(n))
+                        swap[twin], swap[v] = v, twin
+                        automorphisms.append(tuple(swap))
                         continue
                     tried.append(v)
-                    split = cells[:idx] + [1 << v, cell & ~(1 << v)] + cells[idx + 1 :]
-                    descend(_refine(adj, split))
+                    rest = cell & ~(1 << v)
+                    split = cells[:idx] + [1 << v, rest] + cells[idx + 1 :]
+                    # cells is equitable: every vertex of a cell, and so
+                    # of any part later split from it, has the same
+                    # number of neighbours in each cell.  The other cells
+                    # as splitters split nothing, and {v} splits nothing
+                    # once rest has, so rest alone starts the work list
+                    descend(_refine(adj, split, [rest]))
                 return
-        key, perm = _leaf_key(g, cells)
-        if best[0] is None or key < best[0]:
-            best[0], best[1] = key, perm
+        key, perm, order = _leaf_key(g, cells)
+        if best[1] is None or key < best[0]:
+            best[:] = key, perm, order
+        elif key == best[0]:
+            # both leaves relabel g to the same graph
+            automorphisms.append(tuple(best[2][p] for p in perm))
 
     descend(cells)
-    return CanonicalForm(best[0], best[1])
+    return CanonicalForm(_serialization(n, best[0]), best[1],
+                         tuple(automorphisms))
 
 
 def _twins(adj, u, v):
@@ -136,9 +195,3 @@ def marked_pair_form(g: Graph, u: int, v: int) -> bytes:
     other, so edges can be compared per orbit.
     """
     return canonical_form(g, colors={u: 1, v: 1}).form
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    return canonical_form(a).form == canonical_form(b).form

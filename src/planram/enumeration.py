@@ -4,19 +4,31 @@ One canonical-construction-path search (McKay 1998), ``_search``, walks
 the tree breadth first, drops per-parent duplicate children by canonical
 form and returns the output sorted by that form.  A child survives iff
 the element its augmentation created is canonical in it, which
-``_is_canonical`` decides from an edge invariant, then marked-pair forms
-among the edges that tie; with the per-parent dedup this gives
-exactly-once emission.  Two augmentation rules feed it:
+``_form_if_canonical`` decides from an edge invariant, then marked-pair
+forms among the edges that tie; with the per-parent dedup this gives
+exactly-once emission.
+
+The tie-break computes the child's canonical form, which the search
+needs anyway, and the automorphisms that form's search met.  Edges in
+one orbit of those automorphisms have equal marked forms, because an
+automorphism carrying xy to x'y' is an isomorphism between the graph
+with xy marked and the graph with x'y' marked.  So the rivals in uv's
+orbit are skipped, and one marked form stands for each further orbit.
+The automorphisms may generate only part of the group; then an orbit
+splits into several, each costing a marked form, and the verdict is
+unchanged.  Two augmentation rules feed it:
 
 * C4-free planar graphs of a given order, by edge augmentation from the
   empty graph; the invariant ranks every edge of the child.  Each
   candidate edge uv is filtered cheapest-first: non-edge, C4, min-degree
-  deficit, canonicity, planarity.  Every filter is a predicate of
-  (parent, u, v) alone, so the order changes the cost and never the
-  children.  Planarity rarely rejects and is decided from one embedding
-  of the parent: when u and v share a face (or lie in different
-  components) the new edge can be drawn inside that face, so the child
-  is planar.  Only the remaining candidates go to a full planarity test.
+  deficit, canonicity (with the child's canonical form), planarity.
+  Every filter is a predicate of (parent, u, v) alone, so the order
+  changes the cost and never the children.  Planarity rarely rejects
+  and costs more than a canonical form, since it asks networkx for an
+  embedding of the parent.  When u and v share a face of that embedding
+  (or lie in different components) the new edge can be drawn inside
+  that face, so the child is planar.  Only the remaining candidates go
+  to a full planarity test.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -29,8 +41,9 @@ exactly-once emission.  Two augmentation rules feed it:
   every contractible edge with an end outside the closed neighbourhood
   of the split vertex, since a split changes only degrees and common
   neighbours inside that neighbourhood.  A split where such an edge
-  ranks strictly below the created edge is one ``_is_canonical`` would
-  reject, so skipping it changes neither the children nor their order.
+  ranks strictly below the created edge is one ``_form_if_canonical``
+  would reject, so skipping it changes neither the children nor their
+  order.
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
 it runs each task at most once per process.
@@ -139,13 +152,13 @@ def _search(task: EnumerationTask, roots, visit, split_depth: int):
 
     States are tuples whose first item is the graph.  The tree is walked
     breadth first from roots; ``visit(state, depth)`` returns whether the
-    state is output and an iterable of its canonical children, of which
-    those with the same canonical form as an earlier child of the same
-    parent are dropped.  At split_depth the frontier keeps the indices
-    congruent to the task's split residue; states shallower than that
-    are output by split index 0 alone, so a union over the indices
-    partitions the classes exactly.  Returns (form, state) pairs sorted
-    by canonical form.
+    state is output and an iterable of (canonical form, state) pairs, its
+    canonical children, of which those with the same form as an earlier
+    child of the same parent are dropped.  At split_depth the frontier
+    keeps the indices congruent to the task's split residue; states
+    shallower than that are output by split index 0 alone, so a union
+    over the indices partitions the classes exactly.  Returns (form,
+    state) pairs sorted by canonical form.
     """
     index, count = task.split
     out = []
@@ -160,8 +173,7 @@ def _search(task: EnumerationTask, roots, visit, split_depth: int):
             if emit and (depth >= split_depth or index == 0):
                 out.append((form, state))
             seen = set()
-            for child in children:
-                child_form = canonical_form(child[0]).form
+            for child_form, child in children:
                 if child_form in seen:
                     continue
                 seen.add(child_form)
@@ -172,36 +184,71 @@ def _search(task: EnumerationTask, roots, visit, split_depth: int):
     return out
 
 
-def _is_canonical(g: Graph, u: int, v: int, edges, invariant) -> bool:
-    """True iff the edge uv (u < v, one of edges) has the minimal invariant
-    among edges and, among the edges tying with it, the minimal
-    marked-pair form.
+def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
+    """g's canonical form if the edge uv (u < v, one of edges) is
+    canonical in g, else None.
 
-    Marked forms are computed only when another edge ties, and only for
-    the tied edges, stopping at the first one that beats uv.
+    uv is canonical iff it has the least invariant among edges and, among
+    the edges that tie with it, the least marked-pair form.  The scan of
+    ``invariant(adj, degs, x, y)``, which reads one degree list of g,
+    stops at the first strictly smaller invariant.  The tied edges are
+    grouped into orbits under the automorphisms g's canonical-form search
+    met: uv's orbit is skipped, and one marked form per further orbit is
+    compared with uv's, stopping at the first that beats it.
     """
-    inv = invariant(g, u, v)
-    rivals = []
+    adj, degs = g.adj, g.degrees()
+    inv = invariant(adj, degs, u, v)
+    tied = [(u, v)]
     for x, y in edges:
         if x == u and y == v:
             continue
-        other = invariant(g, x, y)
+        other = invariant(adj, degs, x, y)
         if other < inv:
-            return False
+            return None
         if other == inv:
-            rivals.append((x, y))
-    if not rivals:
-        return True
-    form = marked_pair_form(g, u, v)
-    return all(marked_pair_form(g, x, y) >= form for x, y in rivals)
+            tied.append((x, y))
+    cf = canonical_form(g)
+    if len(tied) == 1:
+        return cf.form
+    orbit = _edge_orbits(cf.automorphisms, tied)
+    mine = None
+    for k in range(1, len(tied)):
+        if orbit[k] != k:
+            continue  # not the first edge of its orbit
+        if mine is None:
+            mine = marked_pair_form(g, u, v)
+        if marked_pair_form(g, *tied[k]) < mine:
+            return None
+    return cf.form
+
+
+def _edge_orbits(automorphisms, edges):
+    """For each edge, the index of the first edge of its orbit under the
+    group the automorphisms generate; edges (x < y) must be closed under
+    them, as the edges of one isomorphism invariant are."""
+    index = {e: k for k, e in enumerate(edges)}
+    root = list(range(len(edges)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for perm in automorphisms:
+        for k, (x, y) in enumerate(edges):
+            a, b = perm[x], perm[y]
+            i, j = find(k), find(index[(a, b) if a < b else (b, a)])
+            if i != j:
+                root[max(i, j)] = min(i, j)
+    return [find(k) for k in range(len(edges))]
 
 
 # -- C4-free planar graphs ------------------------------------------------
 
 
-def _edge_invariant(g: Graph, u: int, v: int):
-    du, dv = g.degree(u), g.degree(v)
-    return (min(du, dv), max(du, dv), (g.adj[u] & g.adj[v]).bit_count())
+def _edge_invariant(adj, degs, u: int, v: int):
+    du, dv = degs[u], degs[v]
+    return (min(du, dv), max(du, dv), (adj[u] & adj[v]).bit_count())
 
 
 def enumerate_c4free_planar(
@@ -235,12 +282,13 @@ def enumerate_c4free_planar(
                 child = g.add_edge(u, v)
                 if hopeless(child, edges_used + 1):
                     continue
-                if not _is_canonical(child, u, v, child.edges(),
-                                     _edge_invariant):
+                form = _form_if_canonical(child, u, v, child.edges(),
+                                          _edge_invariant)
+                if form is None:
                     continue
                 if not masks()[u] >> v & 1 and not is_planar(child):
                     continue
-                yield (child,)
+                yield form, (child,)
 
     def visit(state, edges_used):
         g = state[0]
@@ -353,11 +401,15 @@ def _contractible_edges(g: Graph):
     ]
 
 
-def _contraction_invariant(g: Graph, u: int, v: int):
-    du, dv = g.degree(u), g.degree(v)
-    common = g.adj[u] & g.adj[v]
-    cdeg = sorted(g.degree(c) for c in bits(common))
-    return (min(du, dv), max(du, dv), cdeg)
+def _contraction_invariant(adj, degs, u: int, v: int):
+    """(min deg, max deg, lower, higher common-neighbour degree) of a
+    contractible edge uv, whose endpoints have exactly two common
+    neighbours."""
+    common = adj[u] & adj[v]
+    low = common & -common
+    du, dv = degs[u], degs[v]
+    dc, de = degs[low.bit_length() - 1], degs[(common ^ low).bit_length() - 1]
+    return (min(du, dv), max(du, dv), min(dc, de), max(dc, de))
 
 
 def enumerate_triangulations(
@@ -396,16 +448,18 @@ def _children(g, rot, n_target, prune5, budget):
     """The canonical vertex splits of the triangulation g, in split order.
 
     Only splits that ``_open_splits`` leaves open are built; each built
-    child is kept iff its created edge passes ``_is_canonical``.
+    child is kept, with its canonical form, iff its created edge is
+    canonical.
     """
     n = g.n
     for w, i, j in _open_splits(g, rot, n_target, prune5, budget):
         child, child_rot = _split_vertex(g, rot, w, i, j)
         # the new edge (w, n) has exactly the two common neighbours
         # rot_w[i] and rot_w[j], so it is contractible
-        if _is_canonical(child, w, n, _contractible_edges(child),
-                         _contraction_invariant):
-            yield child, child_rot
+        form = _form_if_canonical(child, w, n, _contractible_edges(child),
+                                  _contraction_invariant)
+        if form is not None:
+            yield form, (child, child_rot)
 
 
 def _open_splits(g, rot, n_target, prune5, budget):
@@ -415,7 +469,8 @@ def _open_splits(g, rot, n_target, prune5, budget):
     when the degree deficiency sum(max(0, 5 - deg)) left after it exceeds
     twice the splits remaining.  Then the look-ahead drops a split when
     some edge of the child would have a strictly smaller contraction
-    invariant than the created edge, a child ``_is_canonical`` rejects.
+    invariant than the created edge, a child ``_form_if_canonical``
+    rejects.
 
     The look-ahead is exact for edges with an end outside N[w], the
     closed neighbourhood of w in g.  Splitting w at a = rot_w[i] and
@@ -434,16 +489,13 @@ def _open_splits(g, rot, n_target, prune5, budget):
     short = [max(0, 5 - d) for d in degs]
     spare = 2 * (n_target - (n + 1)) - sum(short)
     needy = [s > 0 for s in short]
-    # g's contractible edges by increasing invariant, as flat tuples
-    # (min deg, max deg, lower, higher common-neighbour degree), which
-    # order as _contraction_invariant does
+    # g's contractible edges by increasing invariant
     ranked = []
     for u, v in _contractible_edges(g):
         common = g.adj[u] & g.adj[v]
         c, e = bits(common)
-        du, dv, dc, de = degs[u], degs[v], degs[c], degs[e]
-        inv = (min(du, dv), max(du, dv), min(dc, de), max(dc, de))
-        ranked.append((inv, u, v, c, e, (1 << u) | (1 << v) | common))
+        ranked.append((_contraction_invariant(g.adj, degs, u, v), u, v, c, e,
+                       (1 << u) | (1 << v) | common))
     ranked.sort(key=itemgetter(0))
     for w in range(n):
         rot_w = rot[w]

@@ -30,7 +30,7 @@ from .construct import (
 )
 from .enumeration import EnumerationTask, classes
 from .formats import from_graph6, to_graph6
-from .graphs import Graph, contains_c4, contains_wheel, cycle_of_length
+from .graphs import Graph, bits, contains_c4, contains_wheel, cycle_of_length
 from .planarity import is_planar
 
 VERSION = "1.0.0"
@@ -303,10 +303,21 @@ def _three_connected(g: Graph) -> bool:
     return True
 
 
-def _lemma16_holds(g: Graph) -> bool:
-    """A cut pair of the complement isolates a single vertex z, and the
-    graph minus {x, y, z} has no path of length 2."""
-    comp = g.complement()
+def _contains_k4(g: Graph) -> bool:
+    """True iff g has four pairwise adjacent vertices, that is iff its
+    complement has an independent set of four."""
+    adj = g.adj
+    for a, b in g.edges():
+        common = adj[a] & adj[b]
+        for c in bits(common):
+            if adj[c] & common:
+                return True
+    return False
+
+
+def _lemma16_holds(g: Graph, comp: Graph) -> bool:
+    """A cut pair of comp, the complement of g, isolates a single vertex
+    z, and g minus {x, y, z} has no path of length 2."""
     if _three_connected(comp):
         return True  # hypothesis empty
     n = g.n
@@ -333,8 +344,6 @@ def lemma_property_suite(
     """Sweep Lemmas 15, 16, 17 (cycle form) and the pancyclicity lemma over
     every enumerated C4-free planar graph up to n_max vertices."""
     started = time.time()
-    from .graphs import independence_number
-
     if n_max < 2:
         # the sweep starts at order 2; below that it checks nothing
         raise errors.BadInput(f"lemma sweep needs n >= 2, got {n_max}")
@@ -352,22 +361,24 @@ def lemma_property_suite(
             break
         for g in graphs:
             comp = g.complement()
+            # Lemma 15: the complement has independence number at most 3
             checked["lemma15"] += 1
-            if independence_number(comp) > 3:
+            if _contains_k4(g):
                 violations.append(("lemma15", to_graph6(g)))
             if n >= 6:
                 checked["lemma16"] += 1
-                if not _lemma16_holds(g):
+                if not _lemma16_holds(g, comp):
                     violations.append(("lemma16", to_graph6(g)))
             if n >= 7:
                 checked["pancyclic"] += 1
-                lengths = range(3, n)
-                missing = [k for k in lengths if cycle_of_length(comp, k) is None]
-                if missing:
+                has = [cycle_of_length(comp, k) is not None
+                       for k in range(3, n)]
+                if not all(has):
                     violations.append(("pancyclic", to_graph6(g)))
-                # PR(C4, C_{n-1}) = n upper half: complement has C_{n-1}
+                # PR(C4, C_{n-1}) = n upper half: complement has C_{n-1},
+                # the last length of the pancyclic loop
                 checked["lemma17"] += 1
-                if n - 1 >= 6 and cycle_of_length(comp, n - 1) is None:
+                if n - 1 >= 6 and not has[-1]:
                     violations.append(("lemma17", to_graph6(g)))
     if violations:
         verdict = "refuted"

@@ -16,7 +16,7 @@ from planram.enumeration import (
     _contraction_invariant,
     _edge_invariant,
     _Budget,
-    _is_canonical,
+    _form_if_canonical,
     _open_splits,
     _split_vertex,
     classes,
@@ -25,7 +25,7 @@ from planram.enumeration import (
     is_maximal_c4free_planar,
     triangulation_check,
 )
-from planram.graphs import Graph, adding_edge_creates_c4, contains_c4
+from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
 from planram.planarity import embed, is_planar
 
 # class counts frozen after oracle validation (brute force below re-derives
@@ -115,6 +115,17 @@ def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
     assert filtered.forms == direct.forms
 
 
+def reference_edge_invariant(g, u, v):
+    du, dv = g.degree(u), g.degree(v)
+    return (min(du, dv), max(du, dv), (g.adj[u] & g.adj[v]).bit_count())
+
+
+def reference_contraction_invariant(g, u, v):
+    du, dv = g.degree(u), g.degree(v)
+    cdeg = sorted(g.degree(c) for c in bits(g.adj[u] & g.adj[v]))
+    return (min(du, dv), max(du, dv), cdeg)
+
+
 def full_canonical_edges(g, edges, invariant):
     """The canonicity rule computed in full: the edges with the minimal
     invariant and, among those, the minimal marked form."""
@@ -137,7 +148,8 @@ def c4free_children(n_max):
                     continue
                 child = g.add_edge(u, v)
                 if is_planar(child):
-                    yield child, list(child.edges()), _edge_invariant
+                    yield (child, list(child.edges()), _edge_invariant,
+                           reference_edge_invariant)
 
 
 def triangulation_splits(n_max):
@@ -156,20 +168,30 @@ def triangulation_children(n_max):
     n_max - 1, with the contractible edges the triangulation search ranks."""
     for g, rot, w, i, j in triangulation_splits(n_max):
         child, _ = _split_vertex(g, rot, w, i, j)
-        yield child, _contractible_edges(child), _contraction_invariant
+        yield (child, _contractible_edges(child), _contraction_invariant,
+               reference_contraction_invariant)
 
 
 def test_edge_canonicity_matches_full_rule():
     for children in (c4free_children(8), triangulation_children(9)):
         checked = 0
         outcomes = set()
-        for child, edges, invariant in children:
-            best = min(invariant(child, *e) for e in edges)
-            canonical = full_canonical_edges(child, edges, invariant)
+        for child, edges, invariant, reference in children:
+            # the search's invariants order the edges as the reference does
+            degs = child.degrees()
+            ranked = sorted((reference(child, *e), invariant(
+                child.adj, degs, *e)) for e in edges)
+            for (r1, i1), (r2, i2) in zip(ranked, ranked[1:]):
+                assert (r1 == r2) == (i1 == i2) and i1 <= i2
+            best = ranked[0][0]
+            canonical = full_canonical_edges(child, edges, reference)
+            child_form = canonical_form(child).form
             for x, y in edges:
-                verdict = _is_canonical(child, x, y, edges, invariant)
+                form = _form_if_canonical(child, x, y, edges, invariant)
+                assert form in (None, child_form)
+                verdict = form is not None
                 assert verdict == ((x, y) in canonical)
-                minimal = invariant(child, x, y) == best
+                minimal = reference(child, x, y) == best
                 outcomes.add((minimal, verdict))
                 checked += 1
         assert checked > 8000
@@ -186,8 +208,9 @@ def test_lookahead_rejects_only_noncanonical_splits():
         if g not in opened:
             opened[g] = set(_open_splits(g, rot, 11, False, _Budget(None)))
         child, _ = _split_vertex(g, rot, w, i, j)
-        canonical = _is_canonical(child, w, g.n, _contractible_edges(child),
-                                  _contraction_invariant)
+        canonical = _form_if_canonical(
+            child, w, g.n, _contractible_edges(child),
+            _contraction_invariant) is not None
         passed = (w, i, j) in opened[g]
         assert passed or not canonical, (g, w, i, j)
         outcomes.add((passed, canonical))
@@ -217,6 +240,31 @@ def test_splits_built_frozen(monkeypatch):
         built = 0
         enumerate_triangulations(task)
         assert built == splits, task
+
+
+# marked-pair forms the canonicity test computes per task; outputs cannot
+# show an orbit skip that stopped working, this count does
+MARKED_FORMS = [
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 789),
+    (EnumerationTask(n=8, mode="c4free_planar"), 242),
+]
+
+
+def test_marked_forms_frozen(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return marked_pair_form(*args)
+
+    monkeypatch.setattr(enumeration, "marked_pair_form", counting)
+    for task, forms in MARKED_FORMS:
+        calls = 0
+        generate = (enumerate_triangulations if task.mode == "triangulation"
+                    else enumerate_c4free_planar)
+        generate(task)
+        assert calls == forms, task
 
 
 def test_split_partition_is_exact():

@@ -6,7 +6,13 @@ import pytest
 
 from planram import enumeration, errors, ramsey
 from planram.formats import from_graph6
-from planram.graphs import Graph, connectivity, contains_c4, contains_wheel
+from planram.graphs import (
+    Graph,
+    connectivity,
+    contains_c4,
+    contains_wheel,
+    independence_number,
+)
 from planram.planarity import is_planar
 
 
@@ -125,6 +131,21 @@ def test_three_connected_matches_connectivity():
         three = ramsey._three_connected(g)
         assert three == (connectivity(g) > 2), g
         outcomes.add(three)
+    assert outcomes == {False, True}
+
+
+def test_contains_k4_matches_independence_of_complement():
+    # Lemma 15's predicate, independence number of the complement above
+    # 3, asked on g as a clique of four
+    graphs = [Graph.complete(4), Graph.complete(5)] + [
+        g for n in range(1, 10)
+        for g in enumeration.classes(
+            enumeration.EnumerationTask(n=n, mode="c4free_planar")).graphs]
+    outcomes = set()
+    for g in graphs:
+        k4 = ramsey._contains_k4(g)
+        assert k4 == (independence_number(g.complement()) > 3), g
+        outcomes.add(k4)
     assert outcomes == {False, True}
 
 
