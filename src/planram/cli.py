@@ -36,7 +36,7 @@ from .formats import (
     to_graph6,
     to_planar_code,
 )
-from .graphs import DegreeSequence
+from .graphs import MAX_VERTICES
 from .planarity import (
     PlaneEmbedding,
     edge_identity_residual,
@@ -55,7 +55,7 @@ def _read_inputs():
     """Parse stdin as planar_code or graph6 into (graph, embedding) pairs.
 
     The embedding is None when the graph has no single plane embedding
-    (disconnected graph6 input).
+    (graph6 input that is disconnected or has no vertices).
     """
     data = sys.stdin.buffer.read()
     if data.startswith(b">>planar_code<<"):
@@ -98,7 +98,12 @@ def _output(path):
     if not path:
         yield sys.stdout
         return
-    with open(path, "w") as out:
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise errors.BadInput(f"cannot write --out {path}: {exc.strerror}") \
+            from None
+    with out:
         yield out
 
 
@@ -106,7 +111,13 @@ def _budget(args):
     if args.budget_nodes is not None:
         return args.budget_nodes
     env = os.environ.get("PLANRAM_BUDGET_NODES")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise errors.BadInput(
+            f"PLANRAM_BUDGET_NODES must be an integer, got {env!r}") from None
 
 
 def _emit_certs(certs, args):
@@ -202,6 +213,12 @@ def cmd_identity(args):
     return status
 
 
+def _degree_string(g):
+    """The degree multiset as "d^m" terms, degrees ascending."""
+    degs = g.degrees()
+    return " ".join(f"{d}^{degs.count(d)}" for d in sorted(set(degs)))
+
+
 def cmd_stats(args):
     with _output(args.out) as out:
         for g, e in _read_inputs():
@@ -211,9 +228,9 @@ def cmd_stats(args):
                     f"{k}:{census[k]}" for k in sorted(census)
                 )
             else:
-                faces = "-"  # disconnected: no single plane embedding
+                faces = "-"  # disconnected or empty: no single plane embedding
             out.write(
-                f"n={g.n} eps={g.edge_count} degrees={DegreeSequence.of(g)} "
+                f"n={g.n} eps={g.edge_count} degrees={_degree_string(g)} "
                 f"tau={gamma(g).tau} faces={faces}\n"
             )
     return EXIT_OK
@@ -274,7 +291,8 @@ def build_parser():
     csub = c.add_subparsers(dest="what", required=True)
     cs = csub.add_parser("seed")
     cs.add_argument("--name", required=True,
-                    help="one of " + ", ".join(SEED_NAMES) + ", or cycleN")
+                    help="one of " + ", ".join(SEED_NAMES)
+                    + f", or cycleN for 3 <= N <= {MAX_VERTICES}")
     cg = csub.add_parser("grow")
     cg.add_argument("--n", type=int, required=True)
     cw = csub.add_parser("witness")

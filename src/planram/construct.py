@@ -50,14 +50,6 @@ _CLAIMS = {
 }
 
 
-@dataclass(frozen=True)
-class SeedGraphRecord:
-    name: str
-    graph: Graph
-    embedding: PlaneEmbedding
-    claimed: dict
-
-
 def _read_rotation(name: str):
     ref = resources.files("planram").joinpath(f"data/seeds/{name}.rot")
     rotation = {}
@@ -67,7 +59,7 @@ def _read_rotation(name: str):
     return tuple(rotation[v] for v in range(len(rotation)))
 
 
-def load_seed(name: str) -> SeedGraphRecord:
+def load_seed(name: str) -> PlaneEmbedding:
     """Load a seed and fail loudly unless every claimed property holds."""
     if name not in SEED_NAMES:
         raise errors.UnknownSeed(f"no seed named {name!r}")
@@ -75,7 +67,6 @@ def load_seed(name: str) -> SeedGraphRecord:
     graph = Graph.from_edges(
         len(rotation),
         [(v, u) for v, nbrs in enumerate(rotation) for u in nbrs if v < u],
-        label=name,
     )
     embedding = PlaneEmbedding(graph, rotation)
     claims = _CLAIMS[name]
@@ -101,7 +92,7 @@ def load_seed(name: str) -> SeedGraphRecord:
                 raise errors.PropertyCheckFailed(f"complement contains W{m}")
     except errors.PropertyCheckFailed as ex:
         raise errors.PropertyCheckFailed(f"seed {name}: {ex}") from None
-    return SeedGraphRecord(name, graph, embedding, claims)
+    return embedding
 
 
 # -- shared helpers -------------------------------------------------------
@@ -381,24 +372,20 @@ class ConstructionTrace:
     ops: tuple[tuple, ...]
     embedding: PlaneEmbedding
 
-    def replay(self) -> PlaneEmbedding:
-        e = resolve_seed(self.seed)
-        for op in self.ops:
-            e = apply_op(e, op)
-        return e
+
+_CYCLE_ORDERS = {f"cycle{k}": k for k in range(3, MAX_VERTICES + 1)}
 
 
 def resolve_seed(name: str) -> PlaneEmbedding:
-    if name.startswith("cycle"):
-        k = int(name[len("cycle"):])
-        g = Graph.cycle(k)
-        rotation = tuple(
-            ((v - 1) % k, (v + 1) % k) for v in range(k)
-        )
-        e = PlaneEmbedding(g, rotation)
-        e.check_valid()
-        return e
-    return load_seed(name).embedding
+    """A stored seed, or cycleN, the N-cycle, for 3 <= N <= MAX_VERTICES;
+    any other name raises UnknownSeed."""
+    k = _CYCLE_ORDERS.get(name)
+    if k is None:
+        return load_seed(name)
+    rotation = tuple(((v - 1) % k, (v + 1) % k) for v in range(k))
+    e = PlaneEmbedding(Graph.cycle(k), rotation)
+    e.check_valid()
+    return e
 
 
 def apply_op(e: PlaneEmbedding, op: tuple) -> PlaneEmbedding:
@@ -555,7 +542,7 @@ def build_ramsey_lower_witness(n_wheel: int) -> Graph:
     if n_wheel == 3:
         g = _k4_free_complement_witness(order)
     elif n_wheel in (4, 5, 6):
-        g = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel]).graph
+        g = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel]).base
     else:
         g = build_delta_witness(order).embedding.base
         # degree argument: complement degrees top out below the rim length

@@ -98,7 +98,6 @@ class EnumerationTask:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    count: int
     graphs: tuple[Graph, ...]
     embeddings: tuple[tuple[tuple[int, ...], ...], ...] | None
     forms: tuple[bytes, ...]  # canonical form of each graph, increasing
@@ -124,7 +123,7 @@ def classes(
             keep = [i for i, g in enumerate(whole.graphs)
                     if is_maximal_c4free_planar(g)]
             result = EnumerationResult(
-                len(keep), tuple(whole.graphs[i] for i in keep), None,
+                tuple(whole.graphs[i] for i in keep), None,
                 tuple(whole.forms[i] for i in keep), 0)  # no node visited
         elif task.mode == "triangulation":
             result = enumerate_triangulations(task, budget_nodes)
@@ -304,7 +303,7 @@ def enumerate_c4free_planar(
     root = Graph.empty(n)
     roots = [] if hopeless(root, 0) else [(root,)]
     out = _search(task, roots, visit, min(_SPLIT_EDGES, max(cap - 1, 0)))
-    return EnumerationResult(len(out), tuple(s[0] for _, s in out), None,
+    return EnumerationResult(tuple(s[0] for _, s in out), None,
                              tuple(f for f, _ in out), budget.nodes)
 
 
@@ -440,7 +439,7 @@ def enumerate_triangulations(
     split_depth = min(_SPLIT_ORDER, n_target) - 4
     out = _search(task, [_k4_embedding()], visit, split_depth)
     return EnumerationResult(
-        len(out), tuple(g for _, (g, _) in out), tuple(r for _, (_, r) in out),
+        tuple(g for _, (g, _) in out), tuple(r for _, (_, r) in out),
         tuple(f for f, _ in out), budget.nodes)
 
 
@@ -538,13 +537,3 @@ def _beaten(outside, created, a, b, degs) -> bool:
         if (min(du, dv), max(du, dv), min(dc, de), max(dc, de)) < created:
             return True
     return False
-
-
-def triangulation_check(g: Graph, rotation) -> None:
-    """Raise unless the rotation system is a simple triangulation embedding."""
-    e = PlaneEmbedding(g, rotation)
-    e.check_valid()
-    if g.edge_count != 3 * g.n - 6:
-        raise errors.NotPlanar("edge count is not 3n-6")
-    if any(f.length != 3 for f in e.faces):
-        raise errors.NotPlanar("non-triangular face")

@@ -22,14 +22,6 @@ class NotC4Free(PlanramError):
     pass
 
 
-class NotConnected(PlanramError):
-    pass
-
-
-class NotACycle(PlanramError):
-    pass
-
-
 class InfeasibleScale(PlanramError):
     """Raised when a task exceeds the configured search budget."""
 

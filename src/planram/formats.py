@@ -77,11 +77,9 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def to_planar_code(rotations: list[tuple[tuple[int, ...], ...]], header: bool = True) -> bytes:
+def to_planar_code(rotations: list[tuple[tuple[int, ...], ...]]) -> bytes:
     """Encode rotation systems (0-based neighbour tuples per vertex)."""
-    out = bytearray()
-    if header:
-        out += PLANAR_CODE_HEADER
+    out = bytearray(PLANAR_CODE_HEADER)
     for rotation in rotations:
         n = len(rotation)
         if n > 255:
@@ -135,9 +133,9 @@ def from_planar_code(blob: bytes) -> list[tuple[tuple[int, ...], ...]]:
     return rotations
 
 
-def rotation_to_graph(rotation, label=None) -> Graph:
+def rotation_to_graph(rotation) -> Graph:
     edges = set()
     for v, nbrs in enumerate(rotation):
         for u in nbrs:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(len(rotation), sorted(edges), label)
+    return Graph.from_edges(len(rotation), sorted(edges))

@@ -9,7 +9,6 @@ every mutation-like helper returns a new :class:`Graph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import errors
 
@@ -28,7 +27,6 @@ def bits(mask: int):
 class Graph:
     n: int
     adj: tuple[int, ...]
-    label: str | None = None
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_VERTICES:
@@ -49,45 +47,32 @@ class Graph:
     # -- construction ----------------------------------------------------
 
     @staticmethod
-    def empty(n: int, label: str | None = None) -> "Graph":
-        return Graph(n, (0,) * n, label)
+    def empty(n: int) -> "Graph":
+        return Graph(n, (0,) * n)
 
     @staticmethod
-    def from_edges(n: int, edges, label: str | None = None) -> "Graph":
+    def from_edges(n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError("self-loop")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows), label)
+        return Graph(n, tuple(rows))
 
     @staticmethod
-    def cycle(n: int, label: str | None = None) -> "Graph":
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], label)
-
-    @staticmethod
-    def path(n: int) -> "Graph":
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    def cycle(n: int) -> "Graph":
+        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @staticmethod
     def complete(n: int) -> "Graph":
         full = (1 << n) - 1
         return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
-    @staticmethod
-    def wheel(m: int) -> "Graph":
-        """Hub vertex ``m`` joined to every vertex of an m-cycle ``0..m-1``."""
-        edges = [(i, (i + 1) % m) for i in range(m)] + [(i, m) for i in range(m)]
-        return Graph.from_edges(m + 1, edges)
-
     # -- basic accessors -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -110,22 +95,13 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees())
 
-    def degree_sequence(self) -> "DegreeSequence":
-        return DegreeSequence.of(self)
-
     # -- derived graphs --------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows), self.label)
-
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows), self.label)
+        return Graph(self.n, tuple(rows))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -133,16 +109,6 @@ class Graph:
             self.n,
             tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.adj)),
         )
-
-    def relabel(self, perm) -> "Graph":
-        """Apply ``perm`` (old label -> new label) to the vertex set."""
-        rows = [0] * self.n
-        for v, row in enumerate(self.adj):
-            new = 0
-            for u in bits(row):
-                new |= 1 << perm[u]
-            rows[perm[v]] = new
-        return Graph(self.n, tuple(rows), self.label)
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by ``vertices`` (relabelled to 0..k-1, order kept)."""
@@ -171,32 +137,9 @@ class Graph:
         return seen
 
     def is_connected(self) -> bool:
-        return self.component_mask(0).bit_count() == self.n
-
-
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Multiset of (degree, multiplicity) pairs, degrees ascending."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(g: Graph) -> "DegreeSequence":
-        counts: dict[int, int] = {}
-        for d in g.degrees():
-            counts[d] = counts.get(d, 0) + 1
-        return DegreeSequence(tuple(sorted(counts.items())))
-
-    def __str__(self) -> str:
-        return " ".join(f"{d}^{m}" for d, m in self.pairs)
-
-    @property
-    def order(self) -> int:
-        return sum(m for _, m in self.pairs)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(d * m for d, m in self.pairs) // 2
+        """True iff the graph has exactly one component; the graph on no
+        vertices has none."""
+        return self.n > 0 and self.component_mask(0).bit_count() == self.n
 
 
 # -- subgraph detection ---------------------------------------------------
@@ -272,17 +215,6 @@ def _find_cycle(g: Graph, k: int, s: int, allowed: int):
 class WheelWitness:
     hub: int
     rim: tuple[int, ...]
-
-    def validates_in(self, g: Graph) -> bool:
-        m = len(self.rim)
-        if len(set(self.rim)) != m or self.hub in self.rim:
-            return False
-        for i, v in enumerate(self.rim):
-            if not g.has_edge(self.hub, v):
-                return False
-            if not g.has_edge(v, self.rim[(i + 1) % m]):
-                return False
-        return True
 
 
 def contains_wheel(g: Graph, m: int):
@@ -378,20 +310,3 @@ def _local_connectivity(g: Graph, s: int, t: int, cap: int) -> int:
             y = x
         flow += 1
     return flow
-
-
-def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
-    """Permutation search isomorphism test; oracle use only (small n)."""
-    from itertools import permutations
-
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    for perm in permutations(range(a.n)):
-        if all(
-            a.has_edge(u, v) == b.has_edge(perm[u], perm[v])
-            for u, v in combinations(range(a.n), 2)
-        ):
-            return True
-    return False

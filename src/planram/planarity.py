@@ -150,11 +150,9 @@ def _to_nx(g: Graph) -> nx.Graph:
 
 @dataclass(frozen=True)
 class GammaReport:
-    """Edges covered by no triangle, their count, and the endpoint subgraph."""
+    """Edges covered by no triangle, and their count."""
 
     gamma_edges: tuple[tuple[int, int], ...]
-    induced: Graph | None
-    endpoints: tuple[int, ...]
 
     @property
     def tau(self) -> int:
@@ -163,24 +161,9 @@ class GammaReport:
 
 def gamma(g: Graph) -> GammaReport:
     """Triangle-free edge set; independent of any embedding."""
-    edges = tuple(
+    return GammaReport(tuple(
         (u, v) for u, v in g.edges() if not g.adj[u] & g.adj[v]
-    )
-    endpoints = tuple(sorted({v for e in edges for v in e}))
-    induced = g.induced(endpoints) if endpoints else None
-    return GammaReport(edges, induced, endpoints)
-
-
-def gamma_edge_subgraph(g: Graph) -> Graph | None:
-    """The subgraph formed by exactly the triangle-free edges."""
-    report = gamma(g)
-    if not report.endpoints:
-        return None
-    index = {v: i for i, v in enumerate(report.endpoints)}
-    return Graph.from_edges(
-        len(report.endpoints),
-        [(index[u], index[v]) for u, v in report.gamma_edges],
-    )
+    ))
 
 
 # -- vertex-edge-dual ----------------------------------------------------
@@ -216,7 +199,7 @@ def edge_identity_residual(e: PlaneEmbedding) -> int:
     """
     g = e.base
     if not g.is_connected():
-        raise errors.NotConnected("identity requires a connected base graph")
+        raise errors.Disconnected("identity requires a connected base graph")
     if contains_c4(g):
         raise errors.NotC4Free("identity requires a C4-free base graph")
     tau = gamma(g).tau
@@ -226,66 +209,5 @@ def edge_identity_residual(e: PlaneEmbedding) -> int:
     return 7 * g.edge_count - (15 * (g.n - 2) - 2 * tau - penalty)
 
 
-def edge_bound_holds(g: Graph) -> bool:
-    """The inequality form: 7*eps <= 15(n-2)."""
-    return 7 * g.edge_count <= 15 * (g.n - 2)
-
-
 def c4free_edge_cap(n: int) -> int:
     return 15 * (n - 2) // 7
-
-
-# -- separating cycles ---------------------------------------------------
-
-
-def separating_cycle(e: PlaneEmbedding, cycle) -> bool:
-    """True iff the cycle has at least one vertex strictly on each side."""
-    g = e.base
-    cycle = list(cycle)
-    length = len(cycle)
-    if length < 3 or len(set(cycle)) != length:
-        raise errors.NotACycle("vertex sequence is not a cycle")
-    for i, v in enumerate(cycle):
-        if not g.has_edge(v, cycle[(i + 1) % length]):
-            raise errors.NotACycle(f"missing edge {v}-{cycle[(i + 1) % length]}")
-    on_cycle = set(cycle)
-    side_of: dict[int, int] = {}  # attachment dart -> side
-    left_mask = 0
-    right_mask = 0
-    for i, u in enumerate(cycle):
-        prev = cycle[(i - 1) % length]
-        nxt = cycle[(i + 1) % length]
-        rot = e.rotation[u]
-        start = rot.index(nxt)
-        stop = rot.index(prev)
-        j = (start + 1) % len(rot)
-        side = 0  # between nxt and prev: left; after prev: right
-        while j != start:
-            w = rot[j]
-            if j == stop:
-                side = 1
-            elif w not in on_cycle:
-                if side == 0:
-                    left_mask |= 1 << w
-                else:
-                    right_mask |= 1 << w
-            j = (j + 1) % len(rot)
-    forbidden = 0
-    for v in on_cycle:
-        forbidden |= 1 << v
-    left_vertices = 0
-    right_vertices = 0
-    remaining = ((1 << g.n) - 1) & ~forbidden
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = g.component_mask(start, forbidden=forbidden)
-        touches_left = bool(comp & left_mask)
-        touches_right = bool(comp & right_mask)
-        if touches_left and touches_right:
-            raise errors.NotACycle("component attaches to both sides; invalid embedding")
-        if touches_left:
-            left_vertices += comp.bit_count()
-        elif touches_right:
-            right_vertices += comp.bit_count()
-        remaining &= ~comp
-    return left_vertices > 0 and right_vertices > 0

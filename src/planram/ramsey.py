@@ -79,15 +79,14 @@ def verify_pr_upper(
     n_wheel: int,
     host_order: int,
     budget_nodes: int | None = None,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> Certificate:
     """Does every C4-free planar graph on host_order vertices have the wheel
     in its complement?  Swept over maximal hosts only (see module docstring)."""
     started = time.time()
     claim = f"pr.upper.w{n_wheel}.n{host_order}"
-    if host_order > enumeration_cap:
+    if host_order > ENUMERATION_CAP:
         return _finish(claim, started, "infeasible", False,
-                       host_order=host_order, cap=enumeration_cap)
+                       host_order=host_order, cap=ENUMERATION_CAP)
     task = EnumerationTask(n=host_order, mode="c4free_planar",
                            maximal_only=True)
     try:
@@ -144,7 +143,7 @@ def verify_delta(n: int, budget_nodes: int | None = None) -> Certificate:
         task = EnumerationTask(n=n, mode="c4free_planar",
                                min_degree=claimed + 1)
         try:
-            total = classes(task, budget_nodes).count
+            total = len(classes(task, budget_nodes).graphs)
             upper_ok = total == 0
             counts["deeper_min_degree_classes"] = total
         except errors.InfeasibleScale:

@@ -1,0 +1,83 @@
+"""Every public function, class, method and property of planram has a
+caller inside the package, or is exported, or is traced by the benchmark.
+
+Names that only tests call are test oracles; they belong in
+``tests/oracles.py``, not in the package a reader of the proof checker
+must audit.
+"""
+
+import ast
+from pathlib import Path
+
+import planram
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "planram"
+
+# name -> why it stays without a caller in the package
+ALLOWED = {
+    "construct.operation_b": "the paper's Operation B as stated; the "
+    "acceptance criteria apply it, while witness growth replays the "
+    "chosen split through apply_op",
+}
+
+
+def public_definitions():
+    """(module.name, name) for each public module-level function or class
+    and each public method or property of a module-level class."""
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def referenced_names():
+    """Every Name and Attribute name used anywhere in the package."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def traced_names():
+    """module.function for each entry of perfbench/tracing.py's TRACED."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            table = ast.literal_eval(node.value)
+            return {f"{m}.{fn}" for m, fns in table.items() for fn in fns}
+    raise AssertionError("perfbench/tracing.py has no TRACED table")
+
+
+def test_every_public_name_has_a_caller():
+    used = referenced_names() | set(planram.__all__)
+    traced = traced_names()
+    definitions = list(public_definitions())
+    unused = [
+        qualified for qualified, name in definitions
+        if name not in used and qualified not in traced
+        and qualified not in ALLOWED
+    ]
+    assert not unused, (
+        f"no caller in src/planram: {unused}; move test oracles to "
+        "tests/oracles.py and delete the rest")
+    # an allowlisted name that is gone, or has gained a caller, leaves
+    # the list
+    for qualified, name in definitions:
+        if qualified in ALLOWED:
+            assert name not in used, qualified
+    assert set(ALLOWED) <= {qualified for qualified, _ in definitions}

@@ -11,14 +11,14 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run(args, stdin=None):
+def run(args, stdin=None, env=None):
     # the child finds planram in this checkout, whether or not the caller
-    # put src on PYTHONPATH
+    # put src on PYTHONPATH; env adds variables to the caller's
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "planram.cli", *args],
         input=stdin, capture_output=True, timeout=600,
-        env={**os.environ, "PYTHONPATH": path})
+        env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
 def test_enumerate_graph6_stream():
@@ -77,6 +77,10 @@ def test_stats_accepts_disconnected_input():
     out = run(["stats"], stdin=b"A?\n")
     assert out.returncode == 0
     assert "faces=-" in out.stdout.decode()
+    # "?" is the graph on no vertices, which has no embedding either
+    out = run(["stats"], stdin=b"?\n")
+    assert out.returncode == 0
+    assert out.stdout == b"n=0 eps=0 degrees= tau=0 faces=-\n"
 
 
 def test_dual_pipe():
@@ -154,23 +158,36 @@ def test_workers_do_not_change_the_certificate():
     assert payload(one.stdout) == payload(three.stdout)
 
 
-@pytest.mark.parametrize("args, stdin", [
-    (["stats"], b"zz~~"),
-    (["dual"], b">>planar_code<<\x05\x02"),
+@pytest.mark.parametrize("args, stdin, env", [
+    (["stats"], b"zz~~", None),
+    (["dual"], b">>planar_code<<\x05\x02", None),
     # K4 with every rotation in one cyclic order: a torus, not a plane
     (["dual"], b">>planar_code<<\x04\x02\x03\x04\x00\x01\x03\x04\x00"
-               b"\x01\x02\x04\x00\x01\x02\x03\x00"),
-    (["enumerate", "--n", "0"], None),
-    (["enumerate", "--n", "70"], None),
-    (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None),
-    (["verify", "delta", "--n", "70"], None),
+               b"\x01\x02\x04\x00\x01\x02\x03\x00", None),
+    # the graph on no vertices has no plane embedding
+    (["dual"], b"?\n", None),
+    (["identity"], b"?\n", None),
+    (["enumerate", "--n", "0"], None, None),
+    (["enumerate", "--n", "70"], None, None),
+    (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None, None),
+    (["verify", "delta", "--n", "70"], None, None),
     # the lemma sweep starts at order 2: a smaller n would check nothing
-    (["verify", "lemmas", "--n", "1"], None),
-    (["verify", "lemmas", "--n", "-3"], None),
-], ids=["graph6", "planar_code", "torus", "n0", "n70", "host-below-wheel",
-        "delta70", "lemmas-n1", "lemmas-n-3"])
-def test_bad_input_is_a_usage_error(args, stdin):
-    out = run(args, stdin=stdin)
+    (["verify", "lemmas", "--n", "1"], None, None),
+    (["verify", "lemmas", "--n", "-3"], None, None),
+    (["construct", "seed", "--name", "cyclefoo"], None, None),
+    (["construct", "seed", "--name", "cycle2"], None, None),
+    (["construct", "seed", "--name", "cycle0"], None, None),
+    (["construct", "seed", "--name", "cycle100"], None, None),
+    # a file is no directory, so nothing can be written below it
+    (["enumerate", "--n", "5", "--out", os.path.join(__file__, "x")],
+     None, None),
+    (["enumerate", "--n", "5"], None, {"PLANRAM_BUDGET_NODES": "abc"}),
+], ids=["graph6", "planar_code", "torus", "dual-order0", "identity-order0",
+        "n0", "n70", "host-below-wheel", "delta70", "lemmas-n1",
+        "lemmas-n-3", "cyclefoo", "cycle2", "cycle0", "cycle100",
+        "out-unwritable", "budget-env-abc"])
+def test_bad_input_is_a_usage_error(args, stdin, env):
+    out = run(args, stdin=stdin, env=env)
     assert out.returncode == 64
     assert out.stdout == b""
     assert out.stderr.startswith(b"error: ")

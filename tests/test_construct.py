@@ -6,7 +6,6 @@ from planram import errors
 from planram.canon import canonical_form
 from planram.construct import (
     SEED_NAMES,
-    ConstructionTrace,
     apply_op,
     build_delta_witness,
     build_ramsey_lower_witness,
@@ -23,27 +22,28 @@ from planram.formats import to_planar_code
 from planram.graphs import contains_c4, contains_wheel
 from planram.planarity import edge_identity_residual, is_planar
 
+from oracles import replay
+
 
 def test_all_seeds_load_and_pass_firewall():
     for name in SEED_NAMES:
-        record = load_seed(name)
-        e = record.embedding
+        e = load_seed(name)
         e.check_valid()
         assert not contains_c4(e.base)
         assert edge_identity_residual(e) == 0
 
 
 def test_seed_headline_properties():
-    a = load_seed("fig8a").embedding.base
+    a = load_seed("fig8a").base
     assert a.n == 30 and a.edge_count == 60
     assert a.min_degree() == a.max_degree() == 4
-    assert load_seed("fig8b").embedding.base.n == 36
-    assert load_seed("fig8c").embedding.base.n == 44
-    assert load_seed("fig8d").embedding.base.n == 46
-    assert load_seed("fig8e").embedding.base.n == 47
+    assert load_seed("fig8b").base.n == 36
+    assert load_seed("fig8c").base.n == 44
+    assert load_seed("fig8d").base.n == 46
+    assert load_seed("fig8e").base.n == 47
     for name in ("fig8b", "fig8c", "fig8d", "fig8e"):
-        assert load_seed(name).embedding.base.min_degree() == 4
-    ten = load_seed("fig10").embedding.base
+        assert load_seed(name).base.min_degree() == 4
+    ten = load_seed("fig10").base
     assert ten.n == 10 and ten.min_degree() == 3
 
 
@@ -159,7 +159,7 @@ def test_delta_witness_schedule():
 def test_trace_replay_is_deterministic():
     for n in (13, 33, 45):
         trace = build_delta_witness(n)
-        replayed = trace.replay()
+        replayed = replay(trace)
         a = to_planar_code([trace.embedding.rotation])
         b = to_planar_code([replayed.rotation])
         assert a == b

@@ -9,13 +9,14 @@ from planram.graphs import (
     Graph,
     WheelWitness,
     adding_edge_creates_c4,
-    brute_force_isomorphic,
     connectivity,
     contains_c4,
     contains_wheel,
     cycle_of_length,
     independence_number,
 )
+
+from oracles import brute_force_isomorphic, path, relabel, validates_in, wheel
 
 
 def brute_contains_c4(g):
@@ -36,9 +37,9 @@ def random_graph(n, p, rng):
 
 def test_constructors():
     assert Graph.cycle(5).edge_count == 5
-    assert Graph.path(4).edge_count == 3
+    assert path(4).edge_count == 3
     assert Graph.complete(5).edge_count == 10
-    w = Graph.wheel(4)  # hub is the last vertex
+    w = wheel(4)  # hub is the last vertex
     assert w.n == 5
     assert w.degree(4) == 4
     assert sorted(w.degrees()) == [3, 3, 3, 3, 4]
@@ -59,7 +60,7 @@ def test_contains_c4_matches_brute_force():
 
 
 def test_adding_edge_creates_c4():
-    g = Graph.path(4)  # 0-1-2-3
+    g = path(4)  # 0-1-2-3
     assert adding_edge_creates_c4(g, 0, 3)
     assert not adding_edge_creates_c4(g, 0, 2)
     c5 = Graph.cycle(5)
@@ -78,7 +79,7 @@ def test_cycle_of_length_positive():
 
 def test_cycle_of_length_negative():
     assert cycle_of_length(Graph.cycle(6), 5) is None
-    assert cycle_of_length(Graph.path(6), 3) is None
+    assert cycle_of_length(path(6), 3) is None
     # bipartite: no odd cycles
     k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     assert cycle_of_length(k33, 5) is None
@@ -87,22 +88,22 @@ def test_cycle_of_length_negative():
 
 
 def test_contains_wheel_basic():
-    w5 = Graph.wheel(5)
+    w5 = wheel(5)
     witness = contains_wheel(w5, 5)
     assert witness is not None
-    assert witness.validates_in(w5)
+    assert validates_in(witness, w5)
     assert contains_wheel(w5, 4) is None  # C5 has no C4
     k6 = Graph.complete(6)
     for m in (3, 4, 5):
         witness = contains_wheel(k6, m)
-        assert witness is not None and witness.validates_in(k6)
+        assert witness is not None and validates_in(witness, k6)
 
 
 def test_contains_wheel_rejects_bad_witness():
-    g = Graph.wheel(4)
-    assert not WheelWitness(0, (1, 2, 4)).validates_in(Graph.cycle(5))
-    assert WheelWitness(4, (0, 1, 2, 3)).validates_in(g)
-    assert not WheelWitness(4, (0, 2, 1, 3)).validates_in(g)
+    g = wheel(4)
+    assert not validates_in(WheelWitness(0, (1, 2, 4)), Graph.cycle(5))
+    assert validates_in(WheelWitness(4, (0, 1, 2, 3)), g)
+    assert not validates_in(WheelWitness(4, (0, 2, 1, 3)), g)
 
 
 def test_contains_wheel_range_errors():
@@ -117,13 +118,13 @@ def test_independence_number():
     assert independence_number(Graph.empty(5)) == 5
     assert independence_number(Graph.cycle(5)) == 2
     assert independence_number(Graph.cycle(6)) == 3
-    assert independence_number(Graph.path(7)) == 4
+    assert independence_number(path(7)) == 4
 
 
 def test_connectivity():
     assert connectivity(Graph.complete(5)) == 4
     assert connectivity(Graph.cycle(6)) == 2
-    assert connectivity(Graph.path(4)) == 1
+    assert connectivity(path(4)) == 1
     two_comp = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert connectivity(two_comp) == 0
     k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
@@ -131,11 +132,11 @@ def test_connectivity():
 
 
 def test_induced_and_relabel():
-    g = Graph.wheel(5)
+    g = wheel(5)
     rim = g.induced(tuple(range(5)))
     assert brute_force_isomorphic(rim, Graph.cycle(5))
     perm = [3, 0, 5, 1, 4, 2]
-    assert brute_force_isomorphic(g, g.relabel(perm))
+    assert brute_force_isomorphic(g, relabel(g, perm))
 
 
 def test_component_and_connected():
@@ -143,3 +144,5 @@ def test_component_and_connected():
     assert not g.is_connected()
     assert g.component_mask(0) == 0b00111
     assert Graph.cycle(4).is_connected()
+    assert Graph.empty(1).is_connected()
+    assert not Graph.empty(0).is_connected()

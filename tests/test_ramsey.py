@@ -15,6 +15,8 @@ from planram.graphs import (
 )
 from planram.planarity import is_planar
 
+from oracles import wheel
+
 
 def test_certificate_json_is_canonical():
     cert = ramsey.verify_pr_lower(6)
@@ -121,7 +123,7 @@ def test_three_connected_matches_connectivity():
     small = [Graph.complete(k) for k in range(1, 7)]
     small += [Graph.empty(k) for k in range(1, 5)]
     small += [Graph.cycle(k) for k in range(3, 7)]
-    small += [Graph.wheel(k) for k in range(3, 7)]
+    small += [wheel(k) for k in range(3, 7)]
     complements = [
         g.complement() for n in range(1, 10)
         for g in enumeration.classes(
