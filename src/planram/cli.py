@@ -11,8 +11,11 @@ Subcommands:
   stats                    degree sequence, triangle-free edge count, faces
 
 Graphs are read from stdin in graph6 (text lines) or planar_code (binary,
-">>planar_code<<" header), auto-detected.  Exit codes: 0 all verified,
-1 any refuted, 2 any infeasible, 64 usage error.
+">>planar_code<<" header), auto-detected.  planar_code output is the
+embedding the generator or construction built; networkx embeds only
+graphs built without one.  --out is opened before any input is read or
+search starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
+infeasible, 64 usage error.
 """
 
 from __future__ import annotations
@@ -84,12 +87,20 @@ def _read_embeddings():
     return [e for _, e in pairs]
 
 
-def _write_graphs(graphs, fmt, out):
-    if fmt == "planar_code":
-        out.buffer.write(to_planar_code([embed(g).rotation for g in graphs]))
-    else:
+def _write_graphs(graphs, fmt, out, rotations=None):
+    """graphs as graph6 lines, or as planar_code of the rotations they
+    were built with, each checked to be a plane embedding of its graph;
+    without rotations, networkx embeds the graphs."""
+    if fmt == "graph6":
         for g in graphs:
             out.write(to_graph6(g) + "\n")
+        return
+    if rotations is None:
+        rotations = [embed(g).rotation for g in graphs]
+    else:
+        for g, rot in zip(graphs, rotations, strict=True):
+            PlaneEmbedding(g, rot).check_valid()
+    out.buffer.write(to_planar_code(rotations))
 
 
 @contextmanager
@@ -120,10 +131,9 @@ def _budget(args):
             f"PLANRAM_BUDGET_NODES must be an integer, got {env!r}") from None
 
 
-def _emit_certs(certs, args):
-    with _output(args.out) as out:
-        for c in certs:
-            out.write(c.to_json() + "\n")
+def _emit_certs(certs, out):
+    for c in certs:
+        out.write(c.to_json() + "\n")
     verdicts = {c.verdict for c in certs}
     if "refuted" in verdicts:
         return EXIT_REFUTED
@@ -132,7 +142,7 @@ def _emit_certs(certs, args):
     return EXIT_OK
 
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, out):
     from .enumeration import EnumerationTask, classes
 
     if args.format == "planar_code" and args.mode == "c4free_planar" \
@@ -145,13 +155,12 @@ def cmd_enumerate(args):
     task = EnumerationTask(n=args.n, mode=args.mode,
                            min_degree=args.min_degree,
                            maximal_only=args.maximal_only)
-    graphs = classes(task, _budget(args)).graphs
-    with _output(args.out) as out:
-        _write_graphs(graphs, args.format, out)
+    result = classes(task, _budget(args))
+    _write_graphs(result.graphs, args.format, out, result.embeddings)
     return EXIT_OK
 
 
-def cmd_verify(args):
+def cmd_verify(args, out):
     from . import ramsey
 
     budget = _budget(args)
@@ -165,52 +174,42 @@ def cmd_verify(args):
         certs = [ramsey.check_fact(args.id, args.long_running, budget)]
     else:
         certs = [ramsey.lemma_property_suite(args.n, budget)]
-    return _emit_certs(certs, args)
+    return _emit_certs(certs, out)
 
 
-def cmd_construct(args):
+def cmd_construct(args, out):
+    if args.what == "witness":
+        # the host comes from enumeration, which holds no rotation
+        _write_graphs([build_ramsey_lower_witness(args.wheel)], args.format,
+                      out)
+        return EXIT_OK
     if args.what == "seed":
         e = resolve_seed(args.name)
-        graphs = [e.base]
-        trace = None
-    elif args.what == "grow":
+    else:
         trace = build_delta_witness(args.n)
-        graphs = [trace.embedding.base]
-    else:  # witness
-        graphs = [build_ramsey_lower_witness(args.wheel)]
-        trace = None
-    with _output(args.out) as out:
-        if trace is not None and args.format == "trace":
+        if args.format == "trace":
             out.write(f"seed {trace.seed}\n")
             for op in trace.ops:
                 out.write(" ".join(str(x) for x in op) + "\n")
-        else:
-            _write_graphs(graphs, args.format, out)
+            return EXIT_OK
+        e = trace.embedding
+    _write_graphs([e.base], args.format, out, [e.rotation])
     return EXIT_OK
 
 
-def cmd_dual(args):
-    duals = [vertex_edge_dual(e) for e in _read_embeddings()]
-    with _output(args.out) as out:
-        for d in duals:
-            out.write(to_graph6(d) + "\n")
+def cmd_dual(args, out):
+    for e in _read_embeddings():
+        out.write(to_graph6(vertex_edge_dual(e)) + "\n")
     return EXIT_OK
 
 
-def cmd_identity(args):
-    status = EXIT_OK
-    with _output(args.out) as out:
-        for e in _read_embeddings():
-            try:
-                r = edge_identity_residual(e)
-            except errors.PlanramError as exc:
-                out.write(f"error {type(exc).__name__}\n")
-                status = EXIT_REFUTED
-                continue
-            out.write(f"{r}\n")
-            if r != 0:
-                status = EXIT_REFUTED
-    return status
+def cmd_identity(args, out):
+    # every residual first: input outside the identity's hypothesis is a
+    # usage error and prints nothing
+    residuals = [edge_identity_residual(e) for e in _read_embeddings()]
+    for r in residuals:
+        out.write(f"{r}\n")
+    return EXIT_REFUTED if any(residuals) else EXIT_OK
 
 
 def _degree_string(g):
@@ -219,20 +218,17 @@ def _degree_string(g):
     return " ".join(f"{d}^{degs.count(d)}" for d in sorted(set(degs)))
 
 
-def cmd_stats(args):
-    with _output(args.out) as out:
-        for g, e in _read_inputs():
-            if e is not None:
-                census = e.face_census()
-                faces = " ".join(
-                    f"{k}:{census[k]}" for k in sorted(census)
-                )
-            else:
-                faces = "-"  # disconnected or empty: no single plane embedding
-            out.write(
-                f"n={g.n} eps={g.edge_count} degrees={_degree_string(g)} "
-                f"tau={gamma(g).tau} faces={faces}\n"
-            )
+def cmd_stats(args, out):
+    for g, e in _read_inputs():
+        if e is not None:
+            census = e.face_census()
+            faces = " ".join(f"{k}:{census[k]}" for k in sorted(census))
+        else:
+            faces = "-"  # disconnected or empty: no single plane embedding
+        out.write(
+            f"n={g.n} eps={g.edge_count} degrees={_degree_string(g)} "
+            f"tau={gamma(g).tau} faces={faces}\n"
+        )
     return EXIT_OK
 
 
@@ -249,11 +245,12 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--workers", type=_positive_int, default=1,
-                        help="accepted for existing command lines; has no "
-                        "effect, every search runs in one process")
-        sp.add_argument("--budget-nodes", type=int, default=None)
+    def common(sp, search=False):
+        if search:
+            sp.add_argument("--workers", type=_positive_int, default=1,
+                            help="accepted for existing command lines; has "
+                            "no effect, every search runs in one process")
+            sp.add_argument("--budget-nodes", type=int, default=None)
         sp.add_argument("--out", default=None)
 
     e = sub.add_parser("enumerate", help="stream graph classes")
@@ -264,7 +261,7 @@ def build_parser():
     e.add_argument("--maximal-only", action="store_true")
     e.add_argument("--format", choices=["graph6", "planar_code"],
                    default="graph6")
-    common(e)
+    common(e, search=True)
     e.set_defaults(func=cmd_enumerate)
 
     v = sub.add_parser("verify", help="emit certificates")
@@ -284,7 +281,7 @@ def build_parser():
     vm = vsub.add_parser("lemmas")
     vm.add_argument("--n", type=int, default=11)
     for sp in (vu, vl, vd, vf, vm):
-        common(sp)
+        common(sp, search=True)
         sp.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("construct", help="seed graphs and witnesses")
@@ -297,9 +294,9 @@ def build_parser():
     cg.add_argument("--n", type=int, required=True)
     cw = csub.add_parser("witness")
     cw.add_argument("--wheel", type=int, required=True)
-    for sp in (cs, cg, cw):
+    for sp, formats in ((cs, ()), (cg, ("trace",)), (cw, ())):
         sp.add_argument("--format",
-                        choices=["graph6", "planar_code", "trace"],
+                        choices=["graph6", "planar_code", *formats],
                         default="graph6")
         common(sp)
         sp.set_defaults(func=cmd_construct)
@@ -322,7 +319,8 @@ def main(argv=None):
             raise SystemExit(EXIT_USAGE)
         raise
     try:
-        return args.func(args)
+        with _output(args.out) as out:
+            return args.func(args, out)
     except errors.InfeasibleScale as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

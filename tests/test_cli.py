@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from planram import enumeration
+from planram.cli import main
+from planram.construct import SEED_NAMES, build_delta_witness, load_seed
+from planram.formats import from_planar_code, to_planar_code
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -103,6 +108,11 @@ def test_usage_error_exit_code():
     assert out.returncode == 64
     out = run(["verify", "pr-upper", "--wheel", "6"])  # missing --host
     assert out.returncode == 64
+    # only grow has a schedule to print
+    for what in (["seed", "--name", "fig10"], ["witness", "--wheel", "5"]):
+        out = run(["construct", *what, "--format", "trace"])
+        assert out.returncode == 64, what
+        assert out.stdout == b""
 
 
 def test_planar_code_autodetect_roundtrip():
@@ -167,6 +177,8 @@ def test_workers_do_not_change_the_certificate():
     # the graph on no vertices has no plane embedding
     (["dual"], b"?\n", None),
     (["identity"], b"?\n", None),
+    # K4 contains a C4, so the identity says nothing about it
+    (["identity"], b"C~\n", None),
     (["enumerate", "--n", "0"], None, None),
     (["enumerate", "--n", "70"], None, None),
     (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None, None),
@@ -183,7 +195,7 @@ def test_workers_do_not_change_the_certificate():
      None, None),
     (["enumerate", "--n", "5"], None, {"PLANRAM_BUDGET_NODES": "abc"}),
 ], ids=["graph6", "planar_code", "torus", "dual-order0", "identity-order0",
-        "n0", "n70", "host-below-wheel", "delta70", "lemmas-n1",
+        "identity-c4", "n0", "n70", "host-below-wheel", "delta70", "lemmas-n1",
         "lemmas-n-3", "cyclefoo", "cycle2", "cycle0", "cycle100",
         "out-unwritable", "budget-env-abc"])
 def test_bad_input_is_a_usage_error(args, stdin, env):
@@ -192,6 +204,31 @@ def test_bad_input_is_a_usage_error(args, stdin, env):
     assert out.stdout == b""
     assert out.stderr.startswith(b"error: ")
     assert b"Traceback" not in out.stderr
+
+
+def test_out_is_opened_before_the_search(monkeypatch, capsys):
+    def search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "classes", search)
+    assert main(["enumerate", "--n", "10",
+                 "--out", os.path.join(__file__, "x")]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_seed_planar_code_is_the_stored_rotation(name, capsysbinary):
+    assert main(["construct", "seed", "--name", name,
+                 "--format", "planar_code"]) == 0
+    stream = capsysbinary.readouterr().out
+    assert from_planar_code(stream) == [load_seed(name).rotation]
+
+
+def test_grown_planar_code_is_the_grown_rotation(capsysbinary):
+    assert main(["construct", "grow", "--n", "45",
+                 "--format", "planar_code"]) == 0
+    assert capsysbinary.readouterr().out == to_planar_code(
+        [build_delta_witness(45).embedding.rotation])
 
 
 def test_infeasible_order_reports_its_own_reason():

@@ -24,6 +24,7 @@ from planram.enumeration import (
     enumerate_triangulations,
     is_maximal_c4free_planar,
 )
+from planram.formats import from_graph6, from_planar_code
 from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
 from planram.planarity import embed, is_planar
 
@@ -42,7 +43,7 @@ STREAM_SHA256 = {
     ("--n", "9", "--maximal-only"):
         "f25918dc3f19057949c04f88b62ed46ab007219e9550147dc13a3aadcd8f01b9",
     ("--mode", "triangulation", "--n", "10", "--format", "planar_code"):
-        "cf3052aea3eb47ff53b2a073744464174a89eb72f09aed6d204e188d8e727782",
+        "5b5ade133f84f50e0908a521e629c5c8047fad20a1e391334951242e7486eb01",
     ("--mode", "triangulation", "--min-degree", "5", "--n", "14"):
         "e938ff88ef9de7134a96791d948a27163a901563d40f79e22de1ac742563ac75",
 }
@@ -84,6 +85,19 @@ def test_enumerate_stream_fingerprint(capsysbinary):
         assert main(["enumerate", *args]) == 0
         stream = capsysbinary.readouterr().out
         assert hashlib.sha256(stream).hexdigest() == digest, args
+
+
+def test_triangulation_planar_code_embeds_the_graph6_stream(capsysbinary):
+    # holds whichever plane rotations are written: record k lists exactly
+    # the neighbours of the k-th graph6 class, and every face is a triangle
+    args = ["enumerate", "--mode", "triangulation", "--n", "10"]
+    assert main(args) == 0
+    graph6 = capsysbinary.readouterr().out.split()
+    assert main([*args, "--format", "planar_code"]) == 0
+    rotations = from_planar_code(capsysbinary.readouterr().out)
+    assert len(rotations) == len(graph6) == 233
+    for line, rot in zip(graph6, rotations):
+        triangulation_check(from_graph6(line.decode()), rot)
 
 
 def test_forms_are_the_canonical_forms_in_increasing_order():
