@@ -21,7 +21,6 @@ infeasible, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 
@@ -118,19 +117,6 @@ def _output(path):
         yield out
 
 
-def _budget(args):
-    if args.budget_nodes is not None:
-        return args.budget_nodes
-    env = os.environ.get("PLANRAM_BUDGET_NODES")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise errors.BadInput(
-            f"PLANRAM_BUDGET_NODES must be an integer, got {env!r}") from None
-
-
 def _emit_certs(certs, out):
     for c in certs:
         out.write(c.to_json() + "\n")
@@ -155,7 +141,7 @@ def cmd_enumerate(args, out):
     task = EnumerationTask(n=args.n, mode=args.mode,
                            min_degree=args.min_degree,
                            maximal_only=args.maximal_only)
-    result = classes(task, _budget(args))
+    result = classes(task, args.budget_nodes)
     _write_graphs(result.graphs, args.format, out, result.embeddings)
     return EXIT_OK
 
@@ -163,7 +149,7 @@ def cmd_enumerate(args, out):
 def cmd_verify(args, out):
     from . import ramsey
 
-    budget = _budget(args)
+    budget = args.budget_nodes
     if args.claim == "pr-upper":
         certs = [ramsey.verify_pr_upper(args.wheel, args.host, budget)]
     elif args.claim == "pr-lower":
@@ -232,11 +218,16 @@ def cmd_stats(args, out):
     return EXIT_OK
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low):
+    """An argparse type: an int no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -247,10 +238,10 @@ def build_parser():
 
     def common(sp, search=False):
         if search:
-            sp.add_argument("--workers", type=_positive_int, default=1,
+            sp.add_argument("--workers", type=_at_least(1), default=1,
                             help="accepted for existing command lines; has "
                             "no effect, every search runs in one process")
-            sp.add_argument("--budget-nodes", type=int, default=None)
+            sp.add_argument("--budget-nodes", type=_at_least(0))
         sp.add_argument("--out", default=None)
 
     e = sub.add_parser("enumerate", help="stream graph classes")

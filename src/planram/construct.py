@@ -197,7 +197,7 @@ def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding
     return result
 
 
-# -- Operation B and its inverse ------------------------------------------
+# -- Operation B ----------------------------------------------------------
 
 
 def _corner_face(e: PlaneEmbedding, faces_by_dart, v: int, nbr_index: int):
@@ -254,54 +254,6 @@ def _operation_b_apply(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding
     edges |= {(min(v2, a), max(v2, a)) for a in (n1, n2, v1)}
     child = Graph.from_edges(n + 1, sorted(edges))
     return _post_check(PlaneEmbedding(child, tuple(new_rot)), 3, "operation B")
-
-
-def operation_b_inverse(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
-    """Merge two adjacent degree-3 vertices back into one degree-4 vertex."""
-    g = e.base
-    v1, v2 = edge
-    if not g.has_edge(v1, v2):
-        raise errors.BadEdge(f"{edge} is not an edge")
-    if g.degree(v1) != 3 or g.degree(v2) != 3:
-        raise errors.BadEdge("both endpoints must have degree 3")
-    if g.adj[v1] & g.adj[v2]:
-        raise errors.BadEdge("merge would create a multiedge")
-    r1 = e.rotation[v1]
-    r2 = e.rotation[v2]
-    i1, i2 = r1.index(v2), r2.index(v1)
-    # splice v2's other neighbours into v1's rotation in place of v2
-    spliced = (
-        r1[:i1]
-        + tuple(r2[(i2 + 1 + k) % 3] for k in range(2))
-        + r1[i1 + 1 :]
-    )
-    new_rot = list(e.rotation)
-    new_rot[v1] = spliced
-    for x in r2:
-        if x != v1:
-            new_rot[x] = _replace(new_rot, x, v2, v1)
-    del new_rot[v2]
-    # compact labels: shift everything above v2 down by one
-    def fix(x):
-        return x - 1 if x > v2 else x
-    new_rot = tuple(tuple(fix(x) for x in rw) for rw in new_rot)
-    edges = set()
-    for a, b in g.edges():
-        if (a, b) == tuple(sorted((v1, v2))):
-            continue
-        a = v1 if a == v2 else a
-        b = v1 if b == v2 else b
-        if a != b:
-            edges.add((min(fix(a), fix(b)), max(fix(a), fix(b))))
-    child = Graph.from_edges(g.n - 1, sorted(edges))
-    merged = PlaneEmbedding(child, new_rot)
-    try:
-        merged.check_valid()
-    except errors.NotPlanar as ex:
-        raise errors.PropertyViolation(f"operation B inverse: {ex}") from None
-    if contains_c4(merged.base):
-        raise errors.PropertyViolation("operation B inverse: created a C4")
-    return merged
 
 
 # -- Operation C ----------------------------------------------------------
@@ -397,9 +349,6 @@ def apply_op(e: PlaneEmbedding, op: tuple) -> PlaneEmbedding:
     if kind == "B":
         _, v, choice = op
         return _operation_b_apply(e, v, choice)
-    if kind == "BINV":
-        _, v1, v2 = op
-        return operation_b_inverse(e, (v1, v2))
     if kind == "C":
         _, u, v = op
         return operation_c(e, (u, v))
@@ -437,7 +386,10 @@ def _valid_a_moves(e: PlaneEmbedding):
                 yield ("A", u, v, face.boundary)
 
 
-def _grow_to(e: PlaneEmbedding, target: int, move_gen, node_cap: int = 20000):
+_GROW_NODE_CAP = 20_000  # moves a schedule search may try
+
+
+def _grow_to(e: PlaneEmbedding, target: int, move_gen):
     """Depth-first schedule search; returns the op list reaching the order."""
     nodes = 0
 
@@ -449,7 +401,7 @@ def _grow_to(e: PlaneEmbedding, target: int, move_gen, node_cap: int = 20000):
             return None
         for op in move_gen(e):
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _GROW_NODE_CAP:
                 raise errors.InfeasibleScale("schedule search exceeded its cap")
             try:
                 nxt = apply_op(e, op)

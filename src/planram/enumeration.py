@@ -47,10 +47,6 @@ unchanged.  Two augmentation rules feed it:
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
 it runs each task at most once per process.
-
-A task's ``split`` restricts the breadth-first frontier at a fixed depth
-to the indices congruent to one residue, so the union over the residues
-equals the unsplit output exactly; the tests use this as an oracle.
 """
 
 from __future__ import annotations
@@ -71,10 +67,6 @@ from .planarity import (
 
 DEFAULT_BUDGET = 50_000_000
 
-# frontier depths at which a task's split is applied
-_SPLIT_EDGES = 5
-_SPLIT_ORDER = 9
-
 
 @dataclass(frozen=True)
 class EnumerationTask:
@@ -82,7 +74,6 @@ class EnumerationTask:
     mode: str  # c4free_planar | triangulation
     min_degree: int = 0
     maximal_only: bool = False
-    split: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.mode not in ("c4free_planar", "triangulation"):
@@ -91,9 +82,6 @@ class EnumerationTask:
             raise errors.BadInput("min_degree must be in 0..5")
         if self.maximal_only and self.mode != "c4free_planar":
             raise errors.BadInput("maximal_only applies to c4free_planar only")
-        index, count = self.split
-        if count < 1 or not 0 <= index < count:
-            raise errors.BadInput(f"bad split {self.split}")
 
 
 @dataclass(frozen=True)
@@ -138,38 +126,31 @@ class _Budget:
         self.limit = limit if limit is not None else DEFAULT_BUDGET
         self.nodes = 0
 
-    def tick(self, amount=1):
-        self.nodes += amount
+    def tick(self):
+        self.nodes += 1
         if self.nodes > self.limit:
             raise errors.InfeasibleScale(
                 f"search exceeded budget of {self.limit} nodes"
             )
 
 
-def _search(task: EnumerationTask, roots, visit, split_depth: int):
+def _search(roots, visit):
     """The canonical-construction-path search both generators share.
 
     States are tuples whose first item is the graph.  The tree is walked
-    breadth first from roots; ``visit(state, depth)`` returns whether the
+    breadth first from roots; ``visit(state)`` returns whether the
     state is output and an iterable of (canonical form, state) pairs, its
     canonical children, of which those with the same form as an earlier
-    child of the same parent are dropped.  At split_depth the frontier
-    keeps the indices congruent to the task's split residue; states
-    shallower than that are output by split index 0 alone, so a union
-    over the indices partitions the classes exactly.  Returns (form,
-    state) pairs sorted by canonical form.
+    child of the same parent are dropped.  Returns (form, state) pairs
+    sorted by canonical form.
     """
-    index, count = task.split
     out = []
     frontier = [(canonical_form(s[0]).form, s) for s in roots]
-    depth = 0
     while frontier:
-        if depth == split_depth:
-            frontier = frontier[index::count]
         nxt = []
         for form, state in frontier:
-            emit, children = visit(state, depth)
-            if emit and (depth >= split_depth or index == 0):
+            emit, children = visit(state)
+            if emit:
                 out.append((form, state))
             seen = set()
             for child_form, child in children:
@@ -178,7 +159,6 @@ def _search(task: EnumerationTask, roots, visit, split_depth: int):
                 seen.add(child_form)
                 nxt.append((child_form, child))
         frontier = nxt
-        depth += 1
     out.sort(key=itemgetter(0))
     return out
 
@@ -289,8 +269,9 @@ def enumerate_c4free_planar(
                     continue
                 yield form, (child,)
 
-    def visit(state, edges_used):
+    def visit(state):
         g = state[0]
+        edges_used = g.edge_count
         # computed on first use, then shared by the maximality test and
         # the expansion of g
         masks = cache(partial(cofacial_masks, g))
@@ -302,7 +283,7 @@ def enumerate_c4free_planar(
 
     root = Graph.empty(n)
     roots = [] if hopeless(root, 0) else [(root,)]
-    out = _search(task, roots, visit, min(_SPLIT_EDGES, max(cap - 1, 0)))
+    out = _search(roots, visit)
     return EnumerationResult(tuple(s[0] for _, s in out), None,
                              tuple(f for f, _ in out), budget.nodes)
 
@@ -429,15 +410,13 @@ def enumerate_triangulations(
     budget = _Budget(budget_nodes)
     prune5 = task.min_degree == 5
 
-    def visit(state, depth):
+    def visit(state):
         g, rot = state
         if g.n == n_target:
             return g.min_degree() >= task.min_degree, ()
         return False, _children(g, rot, n_target, prune5, budget)
 
-    # a state at depth d has 4 + d vertices
-    split_depth = min(_SPLIT_ORDER, n_target) - 4
-    out = _search(task, [_k4_embedding()], visit, split_depth)
+    out = _search([_k4_embedding()], visit)
     return EnumerationResult(
         tuple(g for _, (g, _) in out), tuple(r for _, (_, r) in out),
         tuple(f for f, _ in out), budget.nodes)

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 
 from planram import errors
 from planram.construct import apply_op, resolve_seed
-from planram.graphs import Graph, bits
+from planram.graphs import Graph, bits, contains_c4
 from planram.planarity import PlaneEmbedding
 
 
@@ -69,6 +69,54 @@ def replay(trace) -> PlaneEmbedding:
     for op in trace.ops:
         e = apply_op(e, op)
     return e
+
+
+def operation_b_inverse(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
+    """Merge two adjacent degree-3 vertices back into one degree-4 vertex."""
+    g = e.base
+    v1, v2 = edge
+    if not g.has_edge(v1, v2):
+        raise errors.BadEdge(f"{edge} is not an edge")
+    if g.degree(v1) != 3 or g.degree(v2) != 3:
+        raise errors.BadEdge("both endpoints must have degree 3")
+    if g.adj[v1] & g.adj[v2]:
+        raise errors.BadEdge("merge would create a multiedge")
+    r1 = e.rotation[v1]
+    r2 = e.rotation[v2]
+    i1, i2 = r1.index(v2), r2.index(v1)
+    # splice v2's other neighbours into v1's rotation in place of v2
+    spliced = (
+        r1[:i1]
+        + tuple(r2[(i2 + 1 + k) % 3] for k in range(2))
+        + r1[i1 + 1 :]
+    )
+    new_rot = list(e.rotation)
+    new_rot[v1] = spliced
+    for x in r2:
+        if x != v1:
+            new_rot[x] = tuple(v1 if y == v2 else y for y in new_rot[x])
+    del new_rot[v2]
+    # compact labels: shift everything above v2 down by one
+    def fix(x):
+        return x - 1 if x > v2 else x
+    new_rot = tuple(tuple(fix(x) for x in rw) for rw in new_rot)
+    edges = set()
+    for a, b in g.edges():
+        if (a, b) == tuple(sorted((v1, v2))):
+            continue
+        a = v1 if a == v2 else a
+        b = v1 if b == v2 else b
+        if a != b:
+            edges.add((min(fix(a), fix(b)), max(fix(a), fix(b))))
+    child = Graph.from_edges(g.n - 1, sorted(edges))
+    merged = PlaneEmbedding(child, new_rot)
+    try:
+        merged.check_valid()
+    except errors.NotPlanar as ex:
+        raise errors.PropertyViolation(f"operation B inverse: {ex}") from None
+    if contains_c4(merged.base):
+        raise errors.PropertyViolation("operation B inverse: created a C4")
+    return merged
 
 
 def triangulation_check(g: Graph, rotation) -> None:

@@ -81,3 +81,17 @@ def test_every_public_name_has_a_caller():
         if qualified in ALLOWED:
             assert name not in used, qualified
     assert set(ALLOWED) <= {qualified for qualified, _ in definitions}
+
+
+def test_no_module_reads_the_environment():
+    # settings are command line flags, so every run says what it set
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append(f"{path.stem}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend(f"{path.stem}:{node.lineno} {a.name}"
+                             for a in node.names if a.name in readers)
+    assert not found, found

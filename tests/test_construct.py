@@ -13,7 +13,6 @@ from planram.construct import (
     load_seed,
     operation_a,
     operation_b,
-    operation_b_inverse,
     operation_c,
     pr_target,
     resolve_seed,
@@ -22,7 +21,7 @@ from planram.formats import to_planar_code
 from planram.graphs import contains_c4, contains_wheel
 from planram.planarity import edge_identity_residual, is_planar
 
-from oracles import replay
+from oracles import operation_b_inverse, replay
 
 
 def test_all_seeds_load_and_pass_firewall():

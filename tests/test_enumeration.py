@@ -282,18 +282,6 @@ def test_marked_forms_frozen(monkeypatch):
         assert calls == forms, task
 
 
-def test_split_partition_is_exact():
-    whole = enumerate_c4free_planar(
-        EnumerationTask(n=7, mode="c4free_planar"))
-    forms = sorted(canonical_form(g).form for g in whole.graphs)
-    parts = []
-    for index in range(3):
-        r = enumerate_c4free_planar(
-            EnumerationTask(n=7, mode="c4free_planar", split=(index, 3)))
-        parts.extend(r.graphs)
-    assert sorted(canonical_form(g).form for g in parts) == forms
-
-
 def test_maximal_only_agrees_with_filter():
     whole = enumerate_c4free_planar(
         EnumerationTask(n=7, mode="c4free_planar"))
@@ -342,9 +330,7 @@ NODES_VISITED = [
     (EnumerationTask(n=8, mode="c4free_planar"), 7184),
     (EnumerationTask(n=9, mode="c4free_planar", maximal_only=True), 32984),
     (EnumerationTask(n=8, mode="c4free_planar", min_degree=2), 7184),
-    (EnumerationTask(n=7, mode="c4free_planar", split=(1, 3)), 673),
     (EnumerationTask(n=11, mode="triangulation"), 29444),
-    (EnumerationTask(n=8, mode="triangulation", split=(2, 4)), 372),
     (EnumerationTask(n=14, mode="triangulation", min_degree=5), 62155),
 ]
 
@@ -392,18 +378,6 @@ def test_triangulation_counts_brute_force():
 
 def test_triangulation_count_n8():
     assert tri_count(8) == TRIANGULATION_COUNTS[8]
-
-
-def test_triangulation_split_partition():
-    whole = enumerate_triangulations(
-        EnumerationTask(n=8, mode="triangulation"))
-    forms = sorted(canonical_form(g).form for g in whole.graphs)
-    parts = []
-    for index in range(4):
-        r = enumerate_triangulations(
-            EnumerationTask(n=8, mode="triangulation", split=(index, 4)))
-        parts.extend(r.graphs)
-    assert sorted(canonical_form(g).form for g in parts) == forms
 
 
 def test_triangulation_emits_valid_embeddings():
