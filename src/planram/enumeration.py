@@ -19,16 +19,23 @@ splits into several, each costing a marked form, and the verdict is
 unchanged.  Two augmentation rules feed it:
 
 * C4-free planar graphs of a given order, by edge augmentation from the
-  empty graph; the invariant ranks every edge of the child.  Each
-  candidate edge uv is filtered cheapest-first: non-edge, C4, min-degree
-  deficit, canonicity (with the child's canonical form), planarity.
-  Every filter is a predicate of (parent, u, v) alone, so the order
-  changes the cost and never the children.  Planarity rarely rejects
-  and costs more than a canonical form, since it asks networkx for an
-  embedding of the parent.  When u and v share a face of that embedding
-  (or lie in different components) the new edge can be drawn inside
-  that face, so the child is planar.  Only the remaining candidates go
-  to a full planarity test.
+  empty graph with rotation systems maintained throughout; the invariant
+  ranks every edge of the child.  Each candidate edge uv is filtered
+  cheapest-first: non-edge, C4, min-degree deficit and look-ahead on the
+  parent, then canonicity (with the child's canonical form) and
+  planarity on the child.  Every filter is a predicate of (parent, u, v)
+  alone, so the order changes the cost and never the children.  The
+  look-ahead mirrors the triangulations' below: adding uv changes the
+  invariant only of edges at u or v, so the parent's ranked edges tell,
+  before the child is built, whether an edge of the child beats uv's
+  invariant, and a child built that fails the canonicity test has lost
+  a marked-form tie.  Planarity is read off the parent's carried
+  rotation: when u and v share one of its faces (or lie in different
+  components) the new edge is drawn inside that face, which gives the
+  child's rotation in O(deg).  Only the remaining candidates ask
+  networkx, for a verdict and, if planar, the child's rotation in one
+  call.  Children are built without ``Graph`` validation; graphs are
+  validated where they enter the program.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -62,7 +69,9 @@ from .planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
     cofacial_masks,
+    corners,
     is_planar,
+    rotation_system,
 )
 
 DEFAULT_BUDGET = 50_000_000
@@ -233,7 +242,11 @@ def _edge_invariant(adj, degs, u: int, v: int):
 def enumerate_c4free_planar(
     task: EnumerationTask, budget_nodes: int | None = None
 ) -> EnumerationResult:
-    """One representative per isomorphism class under the task constraints."""
+    """One representative per isomorphism class under the task constraints.
+
+    A state is (graph, rotation system), rooted at the empty graph with
+    empty rotations.
+    """
     if task.mode != "c4free_planar":
         raise ValueError("task mode must be c4free_planar")
     n = task.n
@@ -243,68 +256,162 @@ def enumerate_c4free_planar(
     cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
     t = task.min_degree
 
-    def hopeless(g, edges_used):
-        # an edge repairs at most 2 units of min-degree deficiency
-        if not t:
-            return False
-        deficit = sum(t - d for d in g.degrees() if d < t)
-        return deficit > 2 * (cap - edges_used)
-
-    def children(g, edges_used, masks):
-        for u in range(n):
-            for v in range(u + 1, n):
-                if g.has_edge(u, v):
-                    continue
-                budget.tick()
-                if adding_edge_creates_c4(g, u, v):
-                    continue
-                child = g.add_edge(u, v)
-                if hopeless(child, edges_used + 1):
-                    continue
-                form = _form_if_canonical(child, u, v, child.edges(),
-                                          _edge_invariant)
-                if form is None:
-                    continue
-                if not masks()[u] >> v & 1 and not is_planar(child):
-                    continue
-                yield form, (child,)
-
     def visit(state):
-        g = state[0]
-        edges_used = g.edge_count
-        # computed on first use, then shared by the maximality test and
-        # the expansion of g
-        masks = cache(partial(cofacial_masks, g))
+        g, rot = state
+        # rot's corners and cofacial masks, traced on first use, then
+        # shared by the maximality test and the expansion of g
+        traced = cache(partial(_faces_and_masks, rot))
         emit = g.min_degree() >= t and (
-            not task.maximal_only or is_maximal_c4free_planar(g, masks()))
-        if edges_used == cap:
+            not task.maximal_only or is_maximal_c4free_planar(g, traced()[1]))
+        if g.edge_count == cap:
             return emit, ()
-        return emit, children(g, edges_used, masks)
+        return emit, _c4free_children(g, rot, traced, cap, t, budget)
 
-    root = Graph.empty(n)
-    roots = [] if hopeless(root, 0) else [(root,)]
+    # an edge repairs at most 2 units of min-degree deficiency
+    roots = [] if n * t > 2 * cap else [(Graph.empty(n), ((),) * n)]
     out = _search(roots, visit)
-    return EnumerationResult(tuple(s[0] for _, s in out), None,
-                             tuple(f for f, _ in out), budget.nodes)
+    # children are built unvalidated; the classes leave validated
+    return EnumerationResult(tuple(Graph(g.n, g.adj) for _, (g, _) in out),
+                             None, tuple(f for f, _ in out), budget.nodes)
+
+
+def _faces_and_masks(rotation):
+    faces = corners(rotation)
+    return faces, cofacial_masks(rotation, faces)
+
+
+def _c4free_children(g, rot, traced, cap, t, budget):
+    """The canonical planar children g + uv of the C4-free planar graph g
+    with rotation rot, in candidate order, with their rotations.
+
+    Only candidates that ``_open_edges`` leaves open are built; each built
+    child is kept, with its canonical form, iff uv is canonical in it and
+    it is planar.  traced() gives rot's ``corners`` and cofacial masks.
+    A cofacial uv (on a common face of rot, or in different components)
+    gives a planar child, whose rotation inserts v at u's corner of that
+    face and u at v's; only the other children ask networkx, whose one
+    embedding is both the verdict and the child's rotation.
+    """
+    n, adj = g.n, g.adj
+    for u, v in _open_edges(g, cap, t, budget):
+        rows = list(adj)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        child = Graph._trusted(n, tuple(rows))
+        form = _form_if_canonical(child, u, v, child.edges(), _edge_invariant)
+        if form is None:
+            continue
+        faces, masks = traced()
+        if masks[u] >> v & 1:
+            child_rot = _chord(rot, faces, u, v)
+        else:
+            try:
+                child_rot = rotation_system(child)
+            except errors.NotPlanar:
+                continue
+        yield form, (child, child_rot)
+
+
+def _open_edges(g, cap, t, budget):
+    """The non-edges uv (u < v) of g that survive three tests made on g
+    alone.
+
+    Every non-edge ticks the budget once.  A candidate is dropped when
+    g + uv contains a C4; when its deficiency sum(t - deg) over degrees
+    below t exceeds twice the edges it can still gain; and when the
+    look-ahead finds an edge of g + uv with a strictly smaller invariant
+    than uv, a child ``_form_if_canonical`` rejects.
+
+    The look-ahead is exact.  Adding uv raises the degrees of u and v by
+    one and adds v to N(u) and u to N(v), so an edge of g that avoids u
+    and v keeps its invariant, and one at u or v gets a computable one.
+    uv's own is (min(du, dv) + 1, max(du, dv) + 1, |N(u) & N(v)|).
+    Adding an edge never lowers an invariant, so the walk over g's
+    edges, in increasing invariant, stops at the first one not below
+    uv's.
+    """
+    n = g.n
+    adj, degs = g.adj, g.degrees()
+    needy = [d < t for d in degs]
+    deficit = sum(t - d for d in degs if d < t)
+    # the deficiency a child's remaining edges can repair, 2 units each
+    room = 2 * (cap - g.edge_count - 1)
+    # g's edges by increasing invariant
+    ranked = sorted((_edge_invariant(adj, degs, x, y), x, y)
+                    for x, y in g.edges())
+    for u in range(n):
+        row_u = adj[u]
+        for v in range(u + 1, n):
+            if row_u >> v & 1:
+                continue
+            budget.tick()
+            if adding_edge_creates_c4(g, u, v):
+                continue
+            if deficit - needy[u] - needy[v] > room:
+                continue
+            du, dv = degs[u] + 1, degs[v] + 1
+            created = (min(du, dv), max(du, dv), (row_u & adj[v]).bit_count())
+            if not _edge_beaten(ranked, created, u, v, adj, degs):
+                yield u, v
+
+
+def _edge_beaten(ranked, created, u, v, adj, degs) -> bool:
+    """True iff an edge of ranked, after adding uv, has an invariant
+    strictly below created."""
+    touched = (1 << u) | (1 << v)
+    for inv, x, y in ranked:
+        if inv >= created:
+            return False
+        if not ((1 << x) | (1 << y)) & touched:
+            return True  # its invariant is unchanged
+        # one end, say x, is u or v: x gains a degree, and the common
+        # neighbours gain the other of u, v if y is adjacent to it
+        if not touched >> x & 1:
+            x, y = y, x
+        other = v if x == u else u
+        dx, dy = degs[x] + 1, degs[y]
+        common = inv[2] + (adj[y] >> other & 1)
+        if (min(dx, dy), max(dx, dy), common) < created:
+            return True
+    return False
+
+
+def _chord(rot, faces, u: int, v: int):
+    """rot plus the edge uv, drawn inside a face of rot holding both u and
+    v, or, when there is none, between their two components."""
+    rows = list(rot)
+    for face in faces:
+        if u in face and v in face:
+            i, j = face[u] + 1, face[v] + 1
+            break
+    else:
+        i, j = len(rot[u]), len(rot[v])
+    rows[u] = rot[u][:i] + (v,) + rot[u][i:]
+    rows[v] = rot[v][:j] + (u,) + rot[v][j:]
+    return tuple(rows)
 
 
 def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
     """True iff no edge can be added to the C4-free planar graph g without
     creating a C4 or losing planarity.
 
-    ``masks`` are g's ``cofacial_masks``, computed here when first needed
-    if not given; a cofacial C4-free non-edge settles the answer, and only
-    the other C4-free non-edges need a full planarity test.
+    ``masks`` are the ``cofacial_masks`` of a rotation system of g, such
+    as the one the search carries; when not given they are computed,
+    when first needed, from networkx's rotation of g.  A cofacial
+    C4-free non-edge settles the answer, so the others get a full
+    planarity test only when there is none.
     """
+    others = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
                 continue
             if masks is None:
-                masks = cofacial_masks(g)
-            if masks[u] >> v & 1 or is_planar(g.add_edge(u, v)):
+                masks = cofacial_masks(rotation_system(g))
+            if masks[u] >> v & 1:
                 return False
-    return True
+            others.append((u, v))
+    return not any(is_planar(g.add_edge(u, v)) for u, v in others)
 
 
 # -- planar triangulations ------------------------------------------------

@@ -47,6 +47,16 @@ class Graph:
     # -- construction ----------------------------------------------------
 
     @staticmethod
+    def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph on rows already known to be valid, such as a valid
+        graph's rows plus one edge between two distinct vertices; skips
+        ``__post_init__``."""
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @staticmethod
     def empty(n: int) -> "Graph":
         return Graph(n, (0,) * n)
 

@@ -95,40 +95,14 @@ def embed(g: Graph) -> PlaneEmbedding:
     """One valid combinatorial embedding (not canonical, but deterministic)."""
     if not g.is_connected():
         raise errors.Disconnected("embedding requires a connected graph")
-    embedding = PlaneEmbedding(g, _rotation_system(g))
+    embedding = PlaneEmbedding(g, rotation_system(g))
     embedding.check_valid()
     return embedding
 
 
-def cofacial_masks(g: Graph) -> tuple[int, ...]:
-    """Per vertex v, the vertices w for which g + vw is certainly planar.
-
-    Bit w of entry v is set when v and w lie on a common face of one plane
-    embedding of g, or in different components: the edge vw can then be
-    drawn inside that face, or joins two separately drawn components.  A
-    clear bit proves nothing, since another embedding of g may still put
-    v and w on one face.  The masks are symmetric with clear diagonal; g
-    may be disconnected but must be planar.
-    """
-    masks = [0] * g.n
-    for face in PlaneEmbedding(g, _rotation_system(g)).faces:
-        on_face = 0
-        for u, _ in face.boundary:
-            on_face |= 1 << u
-        for u in bits(on_face):
-            masks[u] |= on_face
-    full = (1 << g.n) - 1
-    remaining = full
-    while remaining:
-        comp = g.component_mask((remaining & -remaining).bit_length() - 1)
-        for u in bits(comp):
-            masks[u] |= full & ~comp
-        remaining &= ~comp
-    return tuple(mask & ~(1 << v) for v, mask in enumerate(masks))
-
-
-def _rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """networkx's clockwise rotation system of g, per component."""
+def rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """networkx's clockwise rotation system of g, per component; g may be
+    disconnected but must be planar."""
     ok, emb = nx.check_planarity(_to_nx(g))
     if not ok:
         raise errors.NotPlanar("graph contains a K5 or K3,3 minor")
@@ -136,6 +110,79 @@ def _rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
         tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
         for v in range(g.n)
     )
+
+
+def corners(rotation) -> list[dict[int, int]]:
+    """The faces of a rotation system, each as one corner per vertex on it.
+
+    A face maps each of its vertices v to a position i in v's rotation
+    where the face passes from rotation[v][i] through v to the neighbour
+    after it: a new neighbour of v inserted after position i is drawn
+    inside that face.  A vertex the face visits more than once keeps one
+    of its corners.  Isolated vertices lie on no face.
+    """
+    where = [{u: i for i, u in enumerate(nbrs)} for nbrs in rotation]
+    seen = [0] * len(rotation)  # per vertex, the positions of its traced darts
+    faces = []
+    for v, nbrs in enumerate(rotation):
+        for i in range(len(nbrs)):
+            if seen[v] >> i & 1:
+                continue
+            face = {}
+            x, k = v, i
+            while not seen[x] >> k & 1:
+                seen[x] |= 1 << k
+                y = rotation[x][k]
+                j = where[y][x]
+                face[y] = j
+                x, k = y, (j + 1) % len(rotation[y])
+            faces.append(face)
+    return faces
+
+
+def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
+    """Per vertex v, the vertices w for which adding vw keeps the rotation
+    system plane.
+
+    Bit w of entry v is set when v and w lie on a common face, or in
+    different components: the edge vw can then be drawn inside that face,
+    or joins two separately drawn components.  A clear bit proves
+    nothing, since another embedding of the graph may still put v and w
+    on one face.  The masks are symmetric with clear diagonal.  faces are
+    the rotation's ``corners`` when already traced.  Raises NotPlanar
+    unless V - E + F = 2 (non-trivial components) + (isolated vertices),
+    that is unless every component is drawn on the sphere.
+    """
+    if faces is None:
+        faces = corners(rotation)
+    n = len(rotation)
+    masks = [0] * n
+    components = []  # vertex masks of the non-trivial components
+    for face in faces:
+        on_face = 0
+        for u in face:
+            on_face |= 1 << u
+        for u in face:
+            masks[u] |= on_face
+        # faces sharing a vertex lie in one component
+        rest = []
+        for comp in components:
+            if comp & on_face:
+                on_face |= comp
+            else:
+                rest.append(comp)
+        components = rest + [on_face]
+    isolated = [v for v, nbrs in enumerate(rotation) if not nbrs]
+    darts = sum(len(nbrs) for nbrs in rotation)
+    if n - darts // 2 + len(faces) != 2 * len(components) + len(isolated):
+        raise errors.NotPlanar("rotation system is not a plane embedding")
+    full = (1 << n) - 1
+    for comp in components:
+        for u in bits(comp):
+            masks[u] |= full & ~comp
+    for v in isolated:
+        masks[v] = full
+    return tuple(mask & ~(1 << v) for v, mask in enumerate(masks))
 
 
 def _to_nx(g: Graph) -> nx.Graph:

@@ -360,7 +360,10 @@ def lemma_property_suite(
             break
         for g in graphs:
             comp = g.complement()
-            # Lemma 15: the complement has independence number at most 3
+            # Lemma 15: the complement has independence number at most 3.
+            # This check cannot fail here: K4 contains a C4, so no
+            # C4-free g contains K4, and the lemma15 count certifies only
+            # the C4 filter of the enumeration
             checked["lemma15"] += 1
             if _contains_k4(g):
                 violations.append(("lemma15", to_graph6(g)))

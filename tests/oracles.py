@@ -6,8 +6,9 @@ to audit by eye.
 """
 
 from itertools import combinations, permutations
+from unittest import mock
 
-from planram import errors
+from planram import enumeration, errors
 from planram.construct import apply_op, resolve_seed
 from planram.graphs import Graph, bits, contains_c4
 from planram.planarity import PlaneEmbedding
@@ -127,3 +128,28 @@ def triangulation_check(g: Graph, rotation) -> None:
         raise errors.NotPlanar("edge count is not 3n-6")
     if any(f.length != 3 for f in e.faces):
         raise errors.NotPlanar("non-triangular face")
+
+
+def c4free_search(task):
+    """Run the C4-free search of task.  Returns its result, the (graph,
+    rotation) state of every node it visits and every child it builds,
+    that is every graph handed to the canonicity test."""
+    states, built = [], []
+    search, form_if_canonical = (enumeration._search,
+                                 enumeration._form_if_canonical)
+
+    def recording_search(roots, visit):
+        def recorded(state):
+            states.append(state)
+            return visit(state)
+        return search(roots, recorded)
+
+    def recording_form(g, *args):
+        built.append(g)
+        return form_if_canonical(g, *args)
+
+    with mock.patch.object(enumeration, "_search", recording_search), \
+            mock.patch.object(enumeration, "_form_if_canonical",
+                              recording_form):
+        result = enumeration.enumerate_c4free_planar(task)
+    return result, states, built

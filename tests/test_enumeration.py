@@ -17,6 +17,7 @@ from planram.enumeration import (
     _edge_invariant,
     _Budget,
     _form_if_canonical,
+    _open_edges,
     _open_splits,
     _split_vertex,
     classes,
@@ -26,9 +27,9 @@ from planram.enumeration import (
 )
 from planram.formats import from_graph6, from_planar_code
 from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
-from planram.planarity import embed, is_planar
+from planram.planarity import PlaneEmbedding, c4free_edge_cap, embed, is_planar
 
-from oracles import triangulation_check
+from oracles import c4free_search, triangulation_check
 
 # class counts frozen after oracle validation (brute force below re-derives
 # the first six; the larger ones are pinned for regression)
@@ -232,6 +233,74 @@ def test_lookahead_rejects_only_noncanonical_splits():
     # the look-ahead rejects splits, and leaves some non-canonical ones
     # to the full test
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_c4free_lookahead_rejects_only_noncanonical_children():
+    # every C4-free candidate of every inner state of the order-9 tree
+    n = 9
+    cap = c4free_edge_cap(n)
+    outcomes = set()
+    checked = 0
+    for g in enumerate_c4free_planar(
+            EnumerationTask(n=n, mode="c4free_planar")).graphs:
+        if g.edge_count == cap:
+            continue  # a leaf: the search adds no edge to it
+        opened = set(_open_edges(g, cap, 0, _Budget(None)))
+        for u, v in itertools.combinations(range(n), 2):
+            if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
+                continue
+            child = g.add_edge(u, v)
+            canonical = _form_if_canonical(
+                child, u, v, child.edges(), _edge_invariant) is not None
+            passed = (u, v) in opened
+            assert passed or not canonical, (g, u, v)
+            outcomes.add((passed, canonical))
+            checked += 1
+    assert checked > 15000
+    # the look-ahead rejects children, and leaves the lost ties to the
+    # full test
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_every_c4free_state_carries_a_plane_rotation():
+    for n in range(1, 9):
+        _, states, _ = c4free_search(
+            EnumerationTask(n=n, mode="c4free_planar"))
+        for g, rot in states:
+            for v in range(n):
+                assert sorted(rot[v]) == list(bits(g.adj[v])), (g, rot)
+            isolated = g.degrees().count(0)
+            components = set()
+            for v in range(n):
+                if g.adj[v]:
+                    components.add(g.component_mask(v))
+            faces = PlaneEmbedding(g, rot).faces
+            assert n - g.edge_count + len(faces) \
+                == 2 * len(components) + isolated, (g, rot)
+
+
+def test_built_children_and_classes_pass_validation():
+    # children are built without Graph's checks; rebuilding each through
+    # the validating constructor gives an equal graph
+    for n in range(1, 9):
+        result, _, built = c4free_search(
+            EnumerationTask(n=n, mode="c4free_planar"))
+        for g in (*built, *result.graphs):
+            assert Graph(g.n, g.adj) == g
+
+
+# children built (graphs handed to _form_if_canonical) per C4-free task;
+# outputs and nodes_visited cannot show a look-ahead that stopped
+# rejecting, this count does
+CHILDREN_BUILT = [
+    (EnumerationTask(n=8, mode="c4free_planar"), 936),
+    (EnumerationTask(n=9, mode="c4free_planar", maximal_only=True), 3021),
+]
+
+
+def test_c4free_children_built_frozen():
+    for task, children in CHILDREN_BUILT:
+        assert len(c4free_search(task)[2]) == children, task
 
 
 # children built (_split_vertex calls) per task; outputs and nodes_visited

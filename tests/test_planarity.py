@@ -12,10 +12,11 @@ from planram.planarity import (
     embed,
     gamma,
     is_planar,
+    rotation_system,
     vertex_edge_dual,
 )
 
-from oracles import path, wheel
+from oracles import c4free_search, path, wheel
 
 
 def test_is_planar():
@@ -42,12 +43,13 @@ def test_embed_rejects_nonplanar():
 
 
 def test_cofacial_masks_are_sound():
-    from planram.enumeration import EnumerationTask, enumerate_c4free_planar
+    from planram.enumeration import EnumerationTask
 
     for n in range(1, 8):
         task = EnumerationTask(n=n, mode="c4free_planar")
-        for g in enumerate_c4free_planar(task).graphs:
-            masks = cofacial_masks(g)
+        # the rotations the search carries, at every state it visits
+        for g, rot in c4free_search(task)[1]:
+            masks = cofacial_masks(rot)
             for v in range(n):
                 assert not masks[v] >> v & 1
                 others = ((1 << n) - 1) & ~g.component_mask(v)
@@ -66,30 +68,36 @@ def test_cofacial_masks_of_triangulations_are_their_adjacency():
 
     for n in range(4, 9):
         task = EnumerationTask(n=n, mode="triangulation")
-        for g in enumerate_triangulations(task).graphs:
-            assert cofacial_masks(g) == g.adj
+        r = enumerate_triangulations(task)
+        for g, rot in zip(r.graphs, r.embeddings):
+            assert cofacial_masks(rot) == g.adj
 
 
 def test_cofacial_masks_small_cases():
     # every pair of a tree or a cycle shares the one or two faces
     for g in (path(5), Graph.cycle(6)):
-        assert cofacial_masks(g) == tuple(
+        assert cofacial_masks(rotation_system(g)) == tuple(
             ((1 << g.n) - 1) & ~(1 << v) for v in range(g.n))
     # K4 plus an isolated vertex: all triangles are faces, and the extra
     # vertex is in another component
     g = Graph.from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert cofacial_masks(g) == (0b11110, 0b11101, 0b11011, 0b10111, 0b01111)
+    assert cofacial_masks(rotation_system(g)) == (
+        0b11110, 0b11101, 0b11011, 0b10111, 0b01111)
     # K_{2,4} puts two of its four degree-2 vertices opposite each other
     # in any embedding, yet joining them keeps the graph planar: a clear
     # bit proves nothing
     k24 = Graph.from_edges(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
-    masks = cofacial_masks(k24)
+    masks = cofacial_masks(rotation_system(k24))
     clear = [(v, w) for v in range(2, 6) for w in range(v + 1, 6)
              if not masks[v] >> w & 1]
     assert len(clear) == 2
     assert all(is_planar(k24.add_edge(v, w)) for v, w in clear)
+    # K5 has no plane rotation, and masks are refused for any other
     with pytest.raises(errors.NotPlanar):
-        cofacial_masks(Graph.complete(5))
+        rotation_system(Graph.complete(5))
+    k5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
+    with pytest.raises(errors.NotPlanar):
+        cofacial_masks(k5)
 
 
 def test_invalid_rotation_detected():
