@@ -13,8 +13,8 @@ Subcommands:
 Graphs are read from stdin in graph6 (text lines) or planar_code (binary,
 ">>planar_code<<" header), auto-detected.  planar_code output is the
 embedding the generator or construction built; networkx embeds only
-graphs built without one.  --out is opened before any input is read or
-search starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
+graph6 input.  --out is opened before any input is read or search
+starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
 infeasible, 64 usage error.
 """
 
@@ -86,19 +86,15 @@ def _read_embeddings():
     return [e for _, e in pairs]
 
 
-def _write_graphs(graphs, fmt, out, rotations=None):
+def _write_graphs(graphs, fmt, out, rotations):
     """graphs as graph6 lines, or as planar_code of the rotations they
-    were built with, each checked to be a plane embedding of its graph;
-    without rotations, networkx embeds the graphs."""
+    were built with, each checked to be a plane embedding of its graph."""
     if fmt == "graph6":
         for g in graphs:
             out.write(to_graph6(g) + "\n")
         return
-    if rotations is None:
-        rotations = [embed(g).rotation for g in graphs]
-    else:
-        for g, rot in zip(graphs, rotations, strict=True):
-            PlaneEmbedding(g, rot).check_valid()
+    for g, rot in zip(graphs, rotations, strict=True):
+        PlaneEmbedding(g, rot).check_valid()
     out.buffer.write(to_planar_code(rotations))
 
 
@@ -165,11 +161,8 @@ def cmd_verify(args, out):
 
 def cmd_construct(args, out):
     if args.what == "witness":
-        # the host comes from enumeration, which holds no rotation
-        _write_graphs([build_ramsey_lower_witness(args.wheel)], args.format,
-                      out)
-        return EXIT_OK
-    if args.what == "seed":
+        e = build_ramsey_lower_witness(args.wheel)
+    elif args.what == "seed":
         e = resolve_seed(args.name)
     else:
         trace = build_delta_witness(args.n)

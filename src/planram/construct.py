@@ -485,35 +485,38 @@ def pr_target(n_wheel: int) -> int:
     return n_wheel + 4
 
 
-def build_ramsey_lower_witness(n_wheel: int) -> Graph:
-    """A C4-free planar graph on pr_target - 1 vertices whose complement
-    avoids the wheel; re-verified by exact search before returning."""
+def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
+    """A C4-free plane graph on pr_target - 1 vertices whose complement
+    avoids the wheel, with the rotation it was built with; re-verified by
+    exact search before returning."""
     if n_wheel < 3:
         raise errors.UnsupportedOrder("wheels start at W3")
     order = pr_target(n_wheel) - 1
     if n_wheel == 3:
-        g = _k4_free_complement_witness(order)
+        e = _k4_free_complement_witness(order)
     elif n_wheel in (4, 5, 6):
-        g = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel]).base
+        e = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel])
     else:
-        g = build_delta_witness(order).embedding.base
+        e = build_delta_witness(order).embedding
         # degree argument: complement degrees top out below the rim length
-        if g.n - 1 - g.min_degree() >= n_wheel:
+        if e.base.n - 1 - e.base.min_degree() >= n_wheel:
             raise errors.PropertyViolation(
                 "witness degrees leave room for a hub; wrong schedule"
             )
-    if contains_wheel(g.complement(), n_wheel) is not None:
+    if contains_wheel(e.base.complement(), n_wheel) is not None:
         raise errors.PropertyViolation(
-            f"complement of the order-{g.n} witness contains W{n_wheel}"
+            f"complement of the order-{e.base.n} witness contains W{n_wheel}"
         )
-    return g
+    return e
 
 
-def _k4_free_complement_witness(order: int) -> Graph:
+def _k4_free_complement_witness(order: int) -> PlaneEmbedding:
+    """The first maximal host whose complement avoids W3, as built."""
     from .enumeration import EnumerationTask, classes
 
     task = EnumerationTask(n=order, mode="c4free_planar", maximal_only=True)
-    for g in classes(task).graphs:
+    hosts = classes(task)
+    for g, rot in zip(hosts.graphs, hosts.embeddings):
         if contains_wheel(g.complement(), 3) is None:
-            return g
+            return PlaneEmbedding(g, rot)
     raise errors.PropertyViolation(f"no order-{order} witness exists")

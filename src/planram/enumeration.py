@@ -34,8 +34,9 @@ unchanged.  Two augmentation rules feed it:
   components) the new edge is drawn inside that face, which gives the
   child's rotation in O(deg).  Only the remaining candidates ask
   networkx, for a verdict and, if planar, the child's rotation in one
-  call.  Children are built without ``Graph`` validation; graphs are
-  validated where they enter the program.
+  call.  Each class leaves with the rotation it was built with, so no
+  C4-free class is embedded again.  Children are built without ``Graph``
+  validation; graphs are validated where they enter the program.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -53,7 +54,8 @@ unchanged.  Two augmentation rules feed it:
   order.
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
-it runs each task at most once per process.
+it runs each task at most once per process, and answers a maximal_only
+task from a cached full sweep by the masks of its carried rotations.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from operator import itemgetter
 
 from . import errors
 from .canon import canonical_form, marked_pair_form
-from .graphs import Graph, adding_edge_creates_c4, bits
+from .graphs import MAX_VERTICES, Graph, adding_edge_creates_c4, bits
 from .planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
@@ -87,6 +89,9 @@ class EnumerationTask:
     def __post_init__(self):
         if self.mode not in ("c4free_planar", "triangulation"):
             raise errors.BadInput(f"unknown mode {self.mode!r}")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise errors.BadInput(
+                f"order must be in 1..{MAX_VERTICES}, got {self.n}")
         if not 0 <= self.min_degree <= 5:
             raise errors.BadInput("min_degree must be in 0..5")
         if self.maximal_only and self.mode != "c4free_planar":
@@ -96,7 +101,7 @@ class EnumerationTask:
 @dataclass(frozen=True)
 class EnumerationResult:
     graphs: tuple[Graph, ...]
-    embeddings: tuple[tuple[tuple[int, ...], ...], ...] | None
+    embeddings: tuple[tuple[tuple[int, ...], ...], ...]  # rotations, as built
     forms: tuple[bytes, ...]  # canonical form of each graph, increasing
     nodes_visited: int
 
@@ -111,16 +116,18 @@ def classes(
 
     A cached result is returned whatever the budget.  A maximal_only task
     whose full sweep is cached is answered by filtering that sweep, which
-    holds the same representatives in the same order.
+    holds the same representatives, rotations and order.
     """
     if task not in _CLASSES:
         full = replace(task, maximal_only=False)
         if task.maximal_only and full in _CLASSES:
             whole = _CLASSES[full]
-            keep = [i for i, g in enumerate(whole.graphs)
-                    if is_maximal_c4free_planar(g)]
+            keep = [i for i, rot in enumerate(whole.embeddings)
+                    if is_maximal_c4free_planar(whole.graphs[i],
+                                                cofacial_masks(rot))]
             result = EnumerationResult(
-                tuple(whole.graphs[i] for i in keep), None,
+                tuple(whole.graphs[i] for i in keep),
+                tuple(whole.embeddings[i] for i in keep),
                 tuple(whole.forms[i] for i in keep), 0)  # no node visited
         elif task.mode == "triangulation":
             result = enumerate_triangulations(task, budget_nodes)
@@ -250,8 +257,6 @@ def enumerate_c4free_planar(
     if task.mode != "c4free_planar":
         raise ValueError("task mode must be c4free_planar")
     n = task.n
-    if not 1 <= n <= 64:
-        raise errors.BadInput(f"order must be in 1..64, got {n}")
     budget = _Budget(budget_nodes)
     cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
     t = task.min_degree
@@ -272,7 +277,8 @@ def enumerate_c4free_planar(
     out = _search(roots, visit)
     # children are built unvalidated; the classes leave validated
     return EnumerationResult(tuple(Graph(g.n, g.adj) for _, (g, _) in out),
-                             None, tuple(f for f, _ in out), budget.nodes)
+                             tuple(r for _, (_, r) in out),
+                             tuple(f for f, _ in out), budget.nodes)
 
 
 def _faces_and_masks(rotation):
@@ -391,23 +397,19 @@ def _chord(rot, faces, u: int, v: int):
     return tuple(rows)
 
 
-def is_maximal_c4free_planar(g: Graph, masks=None) -> bool:
+def is_maximal_c4free_planar(g: Graph, masks) -> bool:
     """True iff no edge can be added to the C4-free planar graph g without
     creating a C4 or losing planarity.
 
-    ``masks`` are the ``cofacial_masks`` of a rotation system of g, such
-    as the one the search carries; when not given they are computed,
-    when first needed, from networkx's rotation of g.  A cofacial
-    C4-free non-edge settles the answer, so the others get a full
-    planarity test only when there is none.
+    ``masks`` are the ``cofacial_masks`` of the rotation g was built with.
+    A cofacial C4-free non-edge settles the answer, so the others get a
+    full planarity test only when there is none.
     """
     others = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
                 continue
-            if masks is None:
-                masks = cofacial_masks(rotation_system(g))
             if masks[u] >> v & 1:
                 return False
             others.append((u, v))

@@ -49,6 +49,8 @@ class PlaneEmbedding:
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """Orbits of the face-successor map; every dart lies on one face."""
+        if self.base.n == 1:
+            return (Face(()),)  # no dart, and the one face around the vertex
         index = {
             (v, u): i
             for v, nbrs in enumerate(self.rotation)

@@ -110,7 +110,7 @@ def verify_pr_lower(n_wheel: int) -> Certificate:
     """Build and independently re-verify a witness on pr_target - 1 vertices."""
     started = time.time()
     claim = f"pr.lower.w{n_wheel}"
-    g = build_ramsey_lower_witness(n_wheel)
+    g = build_ramsey_lower_witness(n_wheel).base
     method = "search" if g.n <= 30 else "degree_argument"
     ok = not contains_c4(g) and is_planar(g)
     if method == "search":

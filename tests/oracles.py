@@ -11,7 +11,7 @@ from unittest import mock
 from planram import enumeration, errors
 from planram.construct import apply_op, resolve_seed
 from planram.graphs import Graph, bits, contains_c4
-from planram.planarity import PlaneEmbedding
+from planram.planarity import PlaneEmbedding, is_planar
 
 
 def path(n: int) -> Graph:
@@ -118,6 +118,18 @@ def operation_b_inverse(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedd
     if contains_c4(merged.base):
         raise errors.PropertyViolation("operation B inverse: created a C4")
     return merged
+
+
+def maximal_c4free_planar(g: Graph) -> bool:
+    """True iff every non-edge of the C4-free planar graph g gives a child
+    that contains a C4 or is not planar."""
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            continue
+        child = g.add_edge(u, v)
+        if not contains_c4(child) and is_planar(child):
+            return False
+    return True
 
 
 def triangulation_check(g: Graph, rotation) -> None:

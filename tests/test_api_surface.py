@@ -95,3 +95,37 @@ def test_no_module_reads_the_environment():
                 found.extend(f"{path.stem}:{node.lineno} {a.name}"
                              for a in node.names if a.name in readers)
     assert not found, found
+
+
+def callers(name):
+    """module.function for each function of the package that calls name."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == name for node in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_only_planarity_imports_networkx():
+    # networkx tests planarity, embeds graph6 input and draws the C4-free
+    # children whose new edge no face of the parent's rotation holds; any
+    # other embedding path fails here
+    assert callers("embed") == {"cli._read_inputs"}
+    assert callers("rotation_system") == {
+        "planarity.embed", "enumeration._c4free_children"}
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "networkx" for m in modules):
+                importers.append(path.stem)
+    assert importers == ["planarity"]

@@ -11,7 +11,7 @@ import pytest
 from planram import enumeration
 from planram.cli import main
 from planram.construct import SEED_NAMES, build_delta_witness, load_seed
-from planram.formats import from_planar_code, to_planar_code
+from planram.formats import from_planar_code, rotation_to_graph, to_planar_code
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -86,6 +86,24 @@ def test_stats_accepts_disconnected_input():
     out = run(["stats"], stdin=b"?\n")
     assert out.returncode == 0
     assert out.stdout == b"n=0 eps=0 degrees= tau=0 faces=-\n"
+
+
+def test_one_vertex_graph_is_plane():
+    # K1 has no dart and one face around its vertex
+    out = run(["stats"], stdin=b"@\n")
+    assert (out.returncode, out.stdout) == (
+        0, b"n=1 eps=0 degrees=0^1 tau=0 faces=0:1\n")
+    out = run(["dual"], stdin=b"@\n")
+    assert (out.returncode, out.stdout) == (0, b"?\n")
+    # K1 is connected and C4-free; its residual 7*0 - 15*(1 - 2) is 15
+    out = run(["identity"], stdin=b"@\n")
+    assert (out.returncode, out.stdout) == (1, b"15\n")
+    enc = run(["enumerate", "--n", "1", "--maximal-only", "--format",
+               "planar_code"])
+    assert (enc.returncode, enc.stdout) == (0, b">>planar_code<<\x01\x00")
+    out = run(["stats"], stdin=enc.stdout)
+    assert (out.returncode, out.stdout) == (
+        0, b"n=1 eps=0 degrees=0^1 tau=0 faces=0:1\n")
 
 
 def test_dual_pipe():
@@ -183,6 +201,9 @@ def test_workers_do_not_change_the_certificate():
     (["identity"], b"C~\n"),
     (["enumerate", "--n", "0"], None),
     (["enumerate", "--n", "70"], None),
+    (["enumerate", "--mode", "triangulation", "--n", "-1"], None),
+    (["enumerate", "--mode", "triangulation", "--n", "0"], None),
+    (["enumerate", "--mode", "triangulation", "--n", "70"], None),
     (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None),
     (["verify", "delta", "--n", "70"], None),
     # the lemma sweep starts at order 2: a smaller n would check nothing
@@ -196,7 +217,8 @@ def test_workers_do_not_change_the_certificate():
     (["enumerate", "--n", "5", "--out", os.path.join(__file__, "x")],
      None),
 ], ids=["graph6", "planar_code", "torus", "dual-order0", "identity-order0",
-        "identity-c4", "n0", "n70", "host-below-wheel", "delta70", "lemmas-n1",
+        "identity-c4", "n0", "n70", "tri-n-1", "tri-n0", "tri-n70",
+        "host-below-wheel", "delta70", "lemmas-n1",
         "lemmas-n-3", "cyclefoo", "cycle2", "cycle0", "cycle100",
         "out-unwritable"])
 def test_bad_input_is_a_usage_error(args, stdin):
@@ -230,6 +252,24 @@ def test_grown_planar_code_is_the_grown_rotation(capsysbinary):
                  "--format", "planar_code"]) == 0
     assert capsysbinary.readouterr().out == to_planar_code(
         [build_delta_witness(45).embedding.rotation])
+
+
+@pytest.mark.parametrize("wheel", range(3, 8))
+def test_witness_planar_code_is_the_built_rotation(wheel, capsysbinary):
+    assert main(["construct", "witness", "--wheel", str(wheel),
+                 "--format", "planar_code"]) == 0
+    [rot] = from_planar_code(capsysbinary.readouterr().out)
+    if wheel == 3:
+        # a maximal host of order 9, with the rotation its search carried
+        hosts = enumeration.classes(enumeration.EnumerationTask(
+            n=9, mode="c4free_planar", maximal_only=True))
+        built = dict(zip(hosts.graphs, hosts.embeddings))[
+            rotation_to_graph(rot)]
+    elif wheel <= 6:
+        built = load_seed(("fig12a", "fig12b", "fig12c")[wheel - 4]).rotation
+    else:
+        built = build_delta_witness(10).embedding.rotation
+    assert rot == built
 
 
 def test_infeasible_order_reports_its_own_reason():

@@ -177,7 +177,9 @@ def test_pr_targets():
 
 def test_ramsey_lower_witness_small():
     for wheel in (4, 5, 6, 7):
-        g = build_ramsey_lower_witness(wheel)
+        e = build_ramsey_lower_witness(wheel)
+        e.check_valid()
+        g = e.base
         assert g.n == pr_target(wheel) - 1
         assert not contains_c4(g)
         assert is_planar(g)

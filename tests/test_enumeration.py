@@ -23,13 +23,12 @@ from planram.enumeration import (
     classes,
     enumerate_c4free_planar,
     enumerate_triangulations,
-    is_maximal_c4free_planar,
 )
 from planram.formats import from_graph6, from_planar_code
 from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
 from planram.planarity import PlaneEmbedding, c4free_edge_cap, embed, is_planar
 
-from oracles import c4free_search, triangulation_check
+from oracles import c4free_search, maximal_c4free_planar, triangulation_check
 
 # class counts frozen after oracle validation (brute force below re-derives
 # the first six; the larger ones are pinned for regression)
@@ -90,15 +89,22 @@ def test_enumerate_stream_fingerprint(capsysbinary):
 
 def test_triangulation_planar_code_embeds_the_graph6_stream(capsysbinary):
     # holds whichever plane rotations are written: record k lists exactly
-    # the neighbours of the k-th graph6 class, and every face is a triangle
-    args = ["enumerate", "--mode", "triangulation", "--n", "10"]
-    assert main(args) == 0
-    graph6 = capsysbinary.readouterr().out.split()
-    assert main([*args, "--format", "planar_code"]) == 0
-    rotations = from_planar_code(capsysbinary.readouterr().out)
-    assert len(rotations) == len(graph6) == 233
-    for line, rot in zip(graph6, rotations):
-        triangulation_check(from_graph6(line.decode()), rot)
+    # the neighbours of the k-th graph6 class, V - E + F = 2, and for
+    # triangulations every face is a triangle
+    for args, classes_written in (
+            (["--mode", "triangulation", "--n", "10"], 233),
+            (["--n", "9", "--maximal-only"], 33)):
+        assert main(["enumerate", *args]) == 0
+        graph6 = capsysbinary.readouterr().out.split()
+        assert main(["enumerate", *args, "--format", "planar_code"]) == 0
+        rotations = from_planar_code(capsysbinary.readouterr().out)
+        assert len(rotations) == len(graph6) == classes_written
+        for line, rot in zip(graph6, rotations):
+            g = from_graph6(line.decode())
+            faces = PlaneEmbedding(g, rot).faces
+            assert g.n - g.edge_count + len(faces) == 2, args
+            if "triangulation" in args:
+                triangulation_check(g, rot)
 
 
 def test_forms_are_the_canonical_forms_in_increasing_order():
@@ -123,11 +129,16 @@ def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
     def traversal(*args, **kwargs):
         raise AssertionError("the full sweep is cached; no traversal needed")
 
+    def embedding(*args, **kwargs):
+        raise AssertionError("the filter reads the carried rotations")
+
     monkeypatch.setattr(enumeration, "enumerate_c4free_planar", traversal)
+    monkeypatch.setattr(enumeration, "rotation_system", embedding)
     # the W3 lower witness is a maximal host of order 9
-    assert build_ramsey_lower_witness(3).n == 9
+    assert build_ramsey_lower_witness(3).base.n == 9
     filtered = classes(maximal)
     assert filtered.graphs == direct.graphs
+    assert filtered.embeddings == direct.embeddings
     assert filtered.forms == direct.forms
 
 
@@ -274,7 +285,8 @@ def test_every_c4free_state_carries_a_plane_rotation():
             for v in range(n):
                 if g.adj[v]:
                     components.add(g.component_mask(v))
-            faces = PlaneEmbedding(g, rot).faces
+            # the dart orbits; the one-vertex graph's face has no dart
+            faces = [f for f in PlaneEmbedding(g, rot).faces if f.length]
             assert n - g.edge_count + len(faces) \
                 == 2 * len(components) + isolated, (g, rot)
 
@@ -356,7 +368,7 @@ def test_maximal_only_agrees_with_filter():
         EnumerationTask(n=7, mode="c4free_planar"))
     filtered = sorted(
         canonical_form(g).form for g in whole.graphs
-        if is_maximal_c4free_planar(g))
+        if maximal_c4free_planar(g))
     direct = enumerate_c4free_planar(
         EnumerationTask(n=7, mode="c4free_planar", maximal_only=True))
     assert sorted(canonical_form(g).form for g in direct.graphs) == filtered
@@ -466,9 +478,8 @@ def test_min_degree_five_triangulations_small():
 def test_every_class_extends_to_a_maximal_class():
     whole = enumerate_c4free_planar(
         EnumerationTask(n=6, mode="c4free_planar"))
-    maximal_forms = {
-        canonical_form(g).form for g in whole.graphs
-        if is_maximal_c4free_planar(g)}
+    maximal_forms = set(enumerate_c4free_planar(EnumerationTask(
+        n=6, mode="c4free_planar", maximal_only=True)).forms)
     for g in whole.graphs:
         # greedy completion must land on an emitted maximal class
         cur = g
@@ -485,5 +496,5 @@ def test_every_class_extends_to_a_maximal_class():
                     if is_planar(cand):
                         cur = cand
                         changed = True
-        assert is_maximal_c4free_planar(cur)
+        assert maximal_c4free_planar(cur)
         assert canonical_form(cur).form in maximal_forms
