@@ -57,15 +57,19 @@ def _read_inputs():
     """Parse stdin as planar_code or graph6 into (graph, embedding) pairs.
 
     The embedding is None when the graph has no single plane embedding
-    (graph6 input that is disconnected or has no vertices).
+    (input that is disconnected, or graph6 with no vertices).
     """
     data = sys.stdin.buffer.read()
     if data.startswith(b">>planar_code<<"):
         pairs = []
         for rot in from_planar_code(data):
-            e = PlaneEmbedding(rotation_to_graph(rot), rot)
+            g = rotation_to_graph(rot)
+            if not g.is_connected():
+                pairs.append((g, None))
+                continue
+            e = PlaneEmbedding(g, rot)
             e.check_valid()  # a rotation system need not be a plane one
-            pairs.append((e.base, e))
+            pairs.append((g, e))
         return pairs
     out = []
     for line in data.split():
@@ -128,8 +132,9 @@ def cmd_enumerate(args, out):
     from .enumeration import EnumerationTask, classes
 
     if args.format == "planar_code" and args.mode == "c4free_planar" \
-            and not args.maximal_only:
-        # maximal C4-free planar graphs are connected: an edge joining two
+            and not args.maximal_only and args.n >= 2:
+        # from order 2 on the classes include the edgeless graph; maximal
+        # C4-free planar graphs are connected: an edge joining two
         # components creates no C4 and keeps the graph planar
         raise errors.Disconnected(
             "planar_code needs connected graphs; in c4free_planar mode "

@@ -17,8 +17,10 @@ minimum degree:
   path of three edges and adds two chords.  Net +2 vertices; minimum
   degree stays 3 and the two chord targets gain a degree.
 
-Every application re-checks C4-freeness, embedding validity and the degree
-contract, raising PropertyViolation on any miss.
+Each operation writes only the new rotation system; the child graph is
+read off it.  Each operation alone decides whether it applies: it raises
+a PlanramError when its preconditions fail, and PropertyViolation when the
+child is not a C4-free plane graph of the promised minimum degree.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import errors
+from .formats import rotation_to_graph
 from .graphs import MAX_VERTICES, Graph, contains_c4, contains_wheel
 from .planarity import Face, PlaneEmbedding, edge_identity_residual
 
@@ -64,10 +67,7 @@ def load_seed(name: str) -> PlaneEmbedding:
     if name not in SEED_NAMES:
         raise errors.UnknownSeed(f"no seed named {name!r}")
     rotation = _read_rotation(name)
-    graph = Graph.from_edges(
-        len(rotation),
-        [(v, u) for v, nbrs in enumerate(rotation) for u in nbrs if v < u],
-    )
+    graph = rotation_to_graph(rotation)
     embedding = PlaneEmbedding(graph, rotation)
     claims = _CLAIMS[name]
     try:
@@ -107,7 +107,11 @@ def _face_map(e: PlaneEmbedding):
     return out
 
 
-def _post_check(e: PlaneEmbedding, min_degree: int, op: str) -> PlaneEmbedding:
+def _post_check(rotation, min_degree: int, op: str) -> PlaneEmbedding:
+    """The embedding of an operation's new rotation, checked to be a C4-free
+    plane graph of the given minimum degree."""
+    rotation = tuple(rotation)
+    e = PlaneEmbedding(rotation_to_graph(rotation), rotation)
     try:
         e.check_valid()
     except errors.NotPlanar as ex:
@@ -132,7 +136,7 @@ def _replace(rotation, vertex, old, new):
 def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding:
     """Split u and v on a >= 6 face and hang a new vertex between the halves.
 
-    u and v must be degree-4 vertices at boundary distance 3 along the
+    u and v must be degree-4 vertices, v three steps after u along the
     face.  The result keeps minimum degree 4 and must still have a face of
     length >= 6.
     """
@@ -149,13 +153,8 @@ def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding
     except ValueError:
         raise errors.BadVertex("u is not on the face") from None
     k = face.length
-    if walk[(i + 3) % k] != v:
-        # try the other direction by swapping roles
-        if walk[(i - 3) % k] == v:
-            u, v = v, u
-            i = walk.index(u)
-        else:
-            raise errors.BadDistance("u and v are not at boundary distance 3")
+    if u == v or walk[(i + 3) % k] != v:
+        raise errors.BadDistance("v is not three steps after u on the face")
     p1, p2 = walk[(i + 1) % k], walk[(i + 2) % k]
     q = walk[(i - 1) % k]
     r = walk[(i + 4) % k]
@@ -182,16 +181,7 @@ def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding
     new_rot.append((w, p1, x1, u1))       # u2
     new_rot.append((p2, w, v1, y2))       # v2
     new_rot.append((u2, u1, v1, v2))      # w
-
-    edges = set(g.edges())
-    edges -= {tuple(sorted((u, p1))), tuple(sorted((u, x1))),
-              tuple(sorted((v, p2))), tuple(sorted((v, y2)))}
-    edges |= {(min(u2, a), max(u2, a)) for a in (p1, x1, u1, w)}
-    edges |= {(min(v2, a), max(v2, a)) for a in (p2, y2, v1, w)}
-    edges |= {(u1, w) if u1 < w else (w, u1), (v1, w) if v1 < w else (w, v1)}
-    child = Graph.from_edges(n + 3, sorted(edges))
-    result = PlaneEmbedding(child, tuple(new_rot))
-    result = _post_check(result, 4, "operation A")
+    result = _post_check(new_rot, 4, "operation A")
     if max(f.length for f in result.faces) < 6:
         raise errors.PropertyViolation("operation A: no face of length >= 6 left")
     return result
@@ -200,60 +190,33 @@ def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding
 # -- Operation B ----------------------------------------------------------
 
 
-def _corner_face(e: PlaneEmbedding, faces_by_dart, v: int, nbr_index: int):
-    """The face at the corner between rotation neighbours nbr_index, nbr_index+1."""
-    rv = e.rotation[v]
-    return faces_by_dart[(rv[nbr_index], v)]
-
-
-def operation_b(e: PlaneEmbedding, v: int) -> PlaneEmbedding:
+def operation_b(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding:
     """Split a degree-4 vertex 2-2 and join the halves by a new edge.
 
-    The two faces the new edge borders must have length >= 5; both ways of
-    pairing the four neighbours are tried and the first valid one is used.
+    With v's rotation read from position choice as (n0, n1, n2, n3), v
+    keeps n0 and n3 and the new vertex takes n1 and n2, so the new edge
+    crosses the faces at the corners (n0, n1) and (n2, n3).  Both must
+    have length >= 5.
     """
     g = e.base
     if not 0 <= v < g.n or g.degree(v) != 4:
         raise errors.BadVertex("operation B needs a degree-4 vertex")
-    faces_by_dart = _face_map(e)
-    last = None
-    for choice in (0, 1):
-        f = _corner_face(e, faces_by_dart, v, choice)
-        h = _corner_face(e, faces_by_dart, v, choice + 2)
-        if f.length < 5 or h.length < 5:
-            last = errors.BadVertex(
-                f"operation B at {v}: crossed faces have lengths "
-                f"{f.length}, {h.length}"
-            )
-            continue
-        try:
-            return _operation_b_apply(e, v, choice)
-        except errors.PropertyViolation as ex:
-            last = ex
-    raise last if last is not None else errors.BadVertex(
-        f"operation B is not applicable at {v}"
-    )
-
-
-def _operation_b_apply(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding:
-    g = e.base
-    if not 0 <= v < g.n or g.degree(v) != 4:
-        raise errors.BadVertex("operation B needs a degree-4 vertex")
     rv = e.rotation[v]
-    # the new edge crosses the corners (n0,n1) and (n2,n3)
     n0, n1, n2, n3 = (rv[(choice + i) % 4] for i in range(4))
-    n = g.n
-    v1, v2 = v, n
+    faces_by_dart = _face_map(e)
+    f, h = faces_by_dart[(n0, v)], faces_by_dart[(n2, v)]
+    if f.length < 5 or h.length < 5:
+        raise errors.BadVertex(
+            f"operation B at {v}: crossed faces have lengths "
+            f"{f.length}, {h.length}"
+        )
+    v1, v2 = v, g.n
     new_rot = list(e.rotation)
     new_rot[v1] = (n0, v2, n3)
     new_rot[n1] = _replace(new_rot, n1, v, v2)
     new_rot[n2] = _replace(new_rot, n2, v, v2)
     new_rot.append((n1, n2, v1))  # v2
-    edges = set(g.edges())
-    edges -= {tuple(sorted((v, n1))), tuple(sorted((v, n2)))}
-    edges |= {(min(v2, a), max(v2, a)) for a in (n1, n2, v1)}
-    child = Graph.from_edges(n + 1, sorted(edges))
-    return _post_check(PlaneEmbedding(child, tuple(new_rot)), 3, "operation B")
+    return _post_check(new_rot, 3, "operation B")
 
 
 # -- Operation C ----------------------------------------------------------
@@ -288,24 +251,16 @@ def operation_c(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
     # on h, walking forwards past u, two steps
     tg = hwalk[(hi + 3) % h.length]
     tg_prev = hwalk[(hi + 2) % h.length]
-    n = g.n
-    a, b = n, n + 1
+    a, b = g.n, g.n + 1
     new_rot = list(e.rotation)
     new_rot[u] = _replace(new_rot, u, v, a)
     new_rot[v] = _replace(new_rot, v, u, b)
     # chord targets: the new neighbour goes right after the walk predecessor
-    rtf = new_rot[tf]
-    new_rot[tf] = _insert_after(rtf, tf_prev, a)
-    rtg = new_rot[tg]
-    new_rot[tg] = _insert_after(rtg, tg_prev, b)
+    new_rot[tf] = _insert_after(new_rot[tf], tf_prev, a)
+    new_rot[tg] = _insert_after(new_rot[tg], tg_prev, b)
     new_rot.append((u, tf, b))  # a
     new_rot.append((v, tg, a))  # b
-    edges = set(g.edges()) - {tuple(sorted((u, v)))}
-    edges |= {(min(a, x), max(a, x)) for x in (u, b, tf)}
-    edges |= {(min(b, x), max(b, x)) for x in (v, tg)}
-    child = Graph.from_edges(n + 2, sorted(edges))
-    result = PlaneEmbedding(child, tuple(new_rot))
-    return _post_check(result, g.min_degree(), "operation C")
+    return _post_check(new_rot, g.min_degree(), "operation C")
 
 
 def _insert_after(rotation: tuple, anchor: int, new: int) -> tuple:
@@ -348,42 +303,34 @@ def apply_op(e: PlaneEmbedding, op: tuple) -> PlaneEmbedding:
         return operation_a(e, face, u, v)
     if kind == "B":
         _, v, choice = op
-        return _operation_b_apply(e, v, choice)
+        return operation_b(e, v, choice)
     if kind == "C":
         _, u, v = op
         return operation_c(e, (u, v))
     raise ValueError(f"unknown operation {kind!r}")
 
 
-def _valid_b_moves(e: PlaneEmbedding):
-    faces_by_dart = _face_map(e)
-    for v in range(e.base.n):
-        if e.base.degree(v) != 4:
-            continue
-        for choice in (0, 1):
-            f = _corner_face(e, faces_by_dart, v, choice)
-            h = _corner_face(e, faces_by_dart, v, choice + 2)
-            if f.length >= 5 and h.length >= 5:
-                yield ("B", v, choice)
+# Move generators list candidates in a fixed order; the operation decides
+# which of them apply.
 
 
-def _valid_c_moves(e: PlaneEmbedding):
-    faces_by_dart = _face_map(e)
-    for u, v in e.base.edges():
-        if faces_by_dart[(u, v)].length >= 6 and faces_by_dart[(v, u)].length >= 6:
-            yield ("C", u, v)
-
-
-def _valid_a_moves(e: PlaneEmbedding):
+def _a_moves(e: PlaneEmbedding):
     for face in e.faces:
-        if face.length < 6:
-            continue
         walk = [a for a, _ in face.boundary]
-        k = face.length
-        for i in range(k):
-            u, v = walk[i], walk[(i + 3) % k]
-            if e.base.degree(u) == 4 and e.base.degree(v) == 4 and u != v:
-                yield ("A", u, v, face.boundary)
+        for i, u in enumerate(walk):
+            yield ("A", u, walk[(i + 3) % len(walk)], face.boundary)
+
+
+def _b_moves(e: PlaneEmbedding):
+    for v in range(e.base.n):
+        if e.base.degree(v) == 4:
+            yield ("B", v, 0)
+            yield ("B", v, 1)
+
+
+def _c_moves(e: PlaneEmbedding):
+    for u, v in e.base.edges():
+        yield ("C", u, v)
 
 
 _GROW_NODE_CAP = 20_000  # moves a schedule search may try
@@ -419,8 +366,8 @@ def _grow_to(e: PlaneEmbedding, target: int, move_gen):
 
 
 def _moves_bc(e):
-    yield from _valid_c_moves(e)
-    yield from _valid_b_moves(e)
+    yield from _c_moves(e)
+    yield from _b_moves(e)
 
 
 def delta_target(n: int) -> int:
@@ -459,7 +406,7 @@ def build_delta_witness(n: int) -> ConstructionTrace:
             seed = "fig8d"
         else:
             seed = "fig8e"
-        ops, e = _grow_to(resolve_seed(seed), n, _valid_a_moves)
+        ops, e = _grow_to(resolve_seed(seed), n, _a_moves)
     trace = ConstructionTrace(seed, tuple(ops), e)
     want = delta_target(n)
     got = e.base.min_degree()

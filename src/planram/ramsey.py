@@ -326,13 +326,12 @@ def _lemma16_holds(g: Graph, comp: Graph) -> bool:
             for z in range(n):
                 if z == x or z == y:
                     continue
-                others = ((1 << n) - 1) & ~blocked & ~(1 << z)
-                if comp.adj[z] & ~blocked & others:
+                rest = ((1 << n) - 1) & ~blocked & ~(1 << z)
+                if comp.adj[z] & rest:
                     continue  # z still sees the rest in the complement
-                rest = [v for v in range(n) if not blocked >> v & 1 and v != z]
-                sub = g.induced(tuple(rest))
-                if sub.n and sub.max_degree() >= 2:
-                    continue
+                if any((g.adj[v] & rest).bit_count() >= 2
+                       for v in bits(rest)):
+                    continue  # g minus {x, y, z} has a path of length 2
                 return True
     return False
 

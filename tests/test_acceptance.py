@@ -220,12 +220,21 @@ def test_criterion_6_operation_soundness():
     applied = {"A": 0, "B": 0, "BINV": 0, "C": 0}
     failed = 0
 
-    def sound(out, e, delta, min_degree):
+    def sound(out, e, delta, edge_delta, min_degree):
         good = (out.base.n == e.base.n + delta
+                and out.base.edge_count == e.base.edge_count + edge_delta
                 and not contains_c4(out.base) and is_planar(out.base)
                 and out.base.min_degree() >= min_degree)
         out.check_valid()
         return good
+
+    def b_applications(e):
+        for v in range(e.base.n):
+            for choice in (0, 1):
+                try:
+                    yield v, operation_b(e, v, choice)
+                except errors.PlanramError:
+                    continue
 
     for name in ("fig8b", "fig8d", "fig8e"):
         e = resolve_seed(name)
@@ -242,21 +251,15 @@ def test_criterion_6_operation_soundness():
                 except errors.PlanramError:
                     continue
                 applied["A"] += 1
-                if not (sound(out, e, 3, 4) and out.base.max_degree()
+                if not (sound(out, e, 3, 6, 4) and out.base.max_degree()
                         <= e.base.max_degree()
                         and max(f.length for f in out.faces) >= 6):
                     failed += 1
     for name in ("fig8a", "fig10"):
         e = resolve_seed(name)
-        for v in range(e.base.n):
-            if e.base.degree(v) != 4:
-                continue
-            try:
-                out = operation_b(e, v)
-            except errors.PlanramError:
-                continue
+        for v, out in b_applications(e):
             applied["B"] += 1
-            if not sound(out, e, 1, 3):
+            if not sound(out, e, 1, 1, 3):
                 failed += 1
             try:
                 back = operation_b_inverse(out, (v, out.base.n - 1))
@@ -274,21 +277,20 @@ def test_criterion_6_operation_soundness():
         except errors.PlanramError:
             continue
         applied["C"] += 1
-        if not sound(out, e, 2, 3):
+        if not sound(out, e, 2, 4, 3):
             failed += 1
     ok = failed == 0 and all(applied[k] > 0 for k in ("A", "B", "BINV"))
     if applied["C"] == 0:
         # fig10 itself may lack a doubly long-faced edge; grow one step
-        grown = operation_b(e, next(
-            v for v in range(10) if e.base.degree(v) == 4))
-        for u, v in list(grown.base.edges()):
-            try:
-                out = operation_c(grown, (u, v))
-            except errors.PlanramError:
-                continue
-            applied["C"] += 1
-            if not sound(out, grown, 2, 3):
-                failed += 1
+        for _, grown in b_applications(e):
+            for u, v in list(grown.base.edges()):
+                try:
+                    out = operation_c(grown, (u, v))
+                except errors.PlanramError:
+                    continue
+                applied["C"] += 1
+                if not sound(out, grown, 2, 4, 3):
+                    failed += 1
         ok = failed == 0 and applied["C"] > 0
     report(6, ok, f"valid applications {applied}, unsound {failed}")
     assert ok

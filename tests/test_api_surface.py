@@ -1,5 +1,6 @@
 """Every public function, class, method and property of planram has a
 caller inside the package, or is exported, or is traced by the benchmark.
+No name is exempt.
 
 Names that only tests call are test oracles; they belong in
 ``tests/oracles.py``, not in the package a reader of the proof checker
@@ -13,14 +14,6 @@ import planram
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "planram"
-
-# name -> why it stays without a caller in the package
-ALLOWED = {
-    "construct.operation_b": "the paper's Operation B as stated; the "
-    "acceptance criteria apply it, while witness growth replays the "
-    "chosen split through apply_op",
-}
-
 
 def public_definitions():
     """(module.name, name) for each public module-level function or class
@@ -66,21 +59,13 @@ def traced_names():
 def test_every_public_name_has_a_caller():
     used = referenced_names() | set(planram.__all__)
     traced = traced_names()
-    definitions = list(public_definitions())
     unused = [
-        qualified for qualified, name in definitions
+        qualified for qualified, name in public_definitions()
         if name not in used and qualified not in traced
-        and qualified not in ALLOWED
     ]
     assert not unused, (
         f"no caller in src/planram: {unused}; move test oracles to "
         "tests/oracles.py and delete the rest")
-    # an allowlisted name that is gone, or has gained a caller, leaves
-    # the list
-    for qualified, name in definitions:
-        if qualified in ALLOWED:
-            assert name not in used, qualified
-    assert set(ALLOWED) <= {qualified for qualified, _ in definitions}
 
 
 def test_no_module_reads_the_environment():

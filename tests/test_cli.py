@@ -88,6 +88,19 @@ def test_stats_accepts_disconnected_input():
     assert out.stdout == b"n=0 eps=0 degrees= tau=0 faces=-\n"
 
 
+def test_disconnected_planar_code_reads_as_graph6_does():
+    # two isolated vertices, as planar_code and as graph6
+    for stdin in (b">>planar_code<<\x02\x00\x00", b"A?\n"):
+        out = run(["stats"], stdin=stdin)
+        assert (out.returncode, out.stdout) == (
+            0, b"n=2 eps=0 degrees=0^2 tau=0 faces=-\n")
+        for command in ("dual", "identity"):
+            out = run([command], stdin=stdin)
+            assert (out.returncode, out.stdout) == (64, b"")
+            assert out.stderr == \
+                b"error: embedding requires a connected graph\n"
+
+
 def test_one_vertex_graph_is_plane():
     # K1 has no dart and one face around its vertex
     out = run(["stats"], stdin=b"@\n")
@@ -101,6 +114,9 @@ def test_one_vertex_graph_is_plane():
     enc = run(["enumerate", "--n", "1", "--maximal-only", "--format",
                "planar_code"])
     assert (enc.returncode, enc.stdout) == (0, b">>planar_code<<\x01\x00")
+    # K1 is the only class at order 1, so every class is maximal
+    plain = run(["enumerate", "--n", "1", "--format", "planar_code"])
+    assert (plain.returncode, plain.stdout) == (0, enc.stdout)
     out = run(["stats"], stdin=enc.stdout)
     assert (out.returncode, out.stdout) == (
         0, b"n=1 eps=0 degrees=0^1 tau=0 faces=0:1\n")

@@ -1,5 +1,7 @@
 """Seed loading, rotation surgery operations, and witness schedules."""
 
+import hashlib
+
 import pytest
 
 from planram import errors
@@ -89,50 +91,65 @@ def test_operation_a_all_valid_applications():
     assert applied > 0
 
 
+def _b_applications(e):
+    """(v, choice, child) for every application of operation B to e."""
+    for v in range(e.base.n):
+        for choice in (0, 1):
+            try:
+                yield v, choice, operation_b(e, v, choice)
+            except errors.PlanramError:
+                continue
+
+
 def test_operation_b_all_valid_applications():
     e = resolve_seed("fig8a")
     deg4 = sum(1 for v in range(e.base.n) if e.base.degree(v) == 4)
-    applied = 0
-    for v in range(e.base.n):
-        if e.base.degree(v) != 4:
-            continue
-        try:
-            out = operation_b(e, v)
-        except errors.PlanramError:
-            continue
-        applied += 1
+    choices = set()
+    for v, choice, out in _b_applications(e):
+        choices.add(choice)
         _valid_state(out, 3)
         assert out.base.n == e.base.n + 1
+        assert out.base.edge_count == e.base.edge_count + 1
         new_deg4 = sum(1 for u in range(out.base.n) if out.base.degree(u) == 4)
         new_deg3 = sum(1 for u in range(out.base.n) if out.base.degree(u) == 3)
         assert new_deg4 == deg4 - 1
         assert new_deg3 == 2
-    assert applied > 0
+    assert choices == {0, 1}
+
+
+def test_operation_b_rejects_short_crossed_faces():
+    # some pairing at a degree-4 vertex of fig10 crosses a face shorter
+    # than 5
+    e = resolve_seed("fig10")
+    tried = [(v, c) for v in range(e.base.n) if e.base.degree(v) == 4
+             for c in (0, 1)]
+    applied = {(v, c) for v, c, _ in _b_applications(e)}
+    assert applied and applied < set(tried)
+    v, c = next(vc for vc in tried if vc not in applied)
+    with pytest.raises(errors.BadVertex, match="crossed faces"):
+        operation_b(e, v, c)
 
 
 def test_operation_b_roundtrip():
     e = resolve_seed("fig8a")
-    for v in range(e.base.n):
-        try:
-            out = operation_b(e, v)
-        except errors.PlanramError:
-            continue
+    for v, _, out in _b_applications(e):
         back = operation_b_inverse(out, (v, out.base.n - 1))
         assert canonical_form(back.base).form == canonical_form(e.base).form
 
 
 def test_operation_c_from_fig10():
     e = resolve_seed("fig10")
-    grown = operation_b(e, next(v for v in range(10) if e.base.degree(v) == 4))
     applied = 0
-    for u, v in grown.base.edges():
-        try:
-            out = operation_c(grown, (u, v))
-        except errors.PlanramError:
-            continue
-        applied += 1
-        _valid_state(out, 3)
-        assert out.base.n == grown.base.n + 2
+    for _, _, grown in _b_applications(e):
+        for u, v in grown.base.edges():
+            try:
+                out = operation_c(grown, (u, v))
+            except errors.PlanramError:
+                continue
+            applied += 1
+            _valid_state(out, 3)
+            assert out.base.n == grown.base.n + 2
+            assert out.base.edge_count == grown.base.edge_count + 4
     assert applied > 0
 
 
@@ -153,6 +170,21 @@ def test_delta_witness_schedule():
         assert not contains_c4(g)
         assert is_planar(g)
         trace.embedding.check_valid()
+
+
+# SHA256 of (n, seed, ops) and the planar_code of build_delta_witness(n)
+# for n = 5..64: every schedule the search picks and every rotation it builds
+WITNESS_SHA256 = \
+    "e305748764118c6eca4429906b3567d93e19eb54feebdf79d30cd302c62d8768"
+
+
+def test_delta_witnesses_are_pinned():
+    h = hashlib.sha256()
+    for n in range(5, 65):
+        trace = build_delta_witness(n)
+        h.update(repr((n, trace.seed, trace.ops)).encode())
+        h.update(to_planar_code([trace.embedding.rotation]))
+    assert h.hexdigest() == WITNESS_SHA256
 
 
 def test_trace_replay_is_deterministic():
