@@ -154,7 +154,7 @@ def cmd_verify(args, out):
     if args.claim == "pr-upper":
         certs = [ramsey.verify_pr_upper(args.wheel, args.host, budget)]
     elif args.claim == "pr-lower":
-        certs = [ramsey.verify_pr_lower(args.wheel)]
+        certs = [ramsey.verify_pr_lower(args.wheel, budget)]
     elif args.claim == "delta":
         certs = [ramsey.verify_delta(args.n, budget)]
     elif args.claim == "fact":

@@ -98,15 +98,6 @@ def load_seed(name: str) -> PlaneEmbedding:
 # -- shared helpers -------------------------------------------------------
 
 
-def _face_map(e: PlaneEmbedding):
-    """dart -> Face for every directed edge."""
-    out = {}
-    for face in e.faces:
-        for dart in face.boundary:
-            out[dart] = face
-    return out
-
-
 def _post_check(rotation, min_degree: int, op: str) -> PlaneEmbedding:
     """The embedding of an operation's new rotation, checked to be a C4-free
     plane graph of the given minimum degree."""
@@ -203,8 +194,7 @@ def operation_b(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding:
         raise errors.BadVertex("operation B needs a degree-4 vertex")
     rv = e.rotation[v]
     n0, n1, n2, n3 = (rv[(choice + i) % 4] for i in range(4))
-    faces_by_dart = _face_map(e)
-    f, h = faces_by_dart[(n0, v)], faces_by_dart[(n2, v)]
+    f, h = e.face_of[(n0, v)], e.face_of[(n2, v)]
     if f.length < 5 or h.length < 5:
         raise errors.BadVertex(
             f"operation B at {v}: crossed faces have lengths "
@@ -234,9 +224,7 @@ def operation_c(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
     u, v = edge
     if not g.has_edge(u, v):
         raise errors.BadEdge(f"{edge} is not an edge")
-    faces_by_dart = _face_map(e)
-    f = faces_by_dart[(u, v)]
-    h = faces_by_dart[(v, u)]
+    f, h = e.face_of[(u, v)], e.face_of[(v, u)]
     if f.length < 6 or h.length < 6:
         raise errors.BadEdge(
             f"faces at the edge have lengths {f.length}, {h.length}; need >= 6"
@@ -432,15 +420,18 @@ def pr_target(n_wheel: int) -> int:
     return n_wheel + 4
 
 
-def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
+def build_ramsey_lower_witness(
+    n_wheel: int, budget_nodes: int | None = None
+) -> PlaneEmbedding:
     """A C4-free plane graph on pr_target - 1 vertices whose complement
     avoids the wheel, with the rotation it was built with; re-verified by
-    exact search before returning."""
+    exact search before returning.  budget_nodes caps the W3 host sweep,
+    which raises InfeasibleScale when cut."""
     if n_wheel < 3:
         raise errors.UnsupportedOrder("wheels start at W3")
     order = pr_target(n_wheel) - 1
     if n_wheel == 3:
-        e = _k4_free_complement_witness(order)
+        e = _k4_free_complement_witness(order, budget_nodes)
     elif n_wheel in (4, 5, 6):
         e = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel])
     else:
@@ -457,12 +448,12 @@ def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
     return e
 
 
-def _k4_free_complement_witness(order: int) -> PlaneEmbedding:
+def _k4_free_complement_witness(order: int, budget_nodes) -> PlaneEmbedding:
     """The first maximal host whose complement avoids W3, as built."""
     from .enumeration import EnumerationTask, classes
 
     task = EnumerationTask(n=order, mode="c4free_planar", maximal_only=True)
-    hosts = classes(task)
+    hosts = classes(task, budget_nodes)
     for g, rot in zip(hosts.graphs, hosts.embeddings):
         if contains_wheel(g.complement(), 3) is None:
             return PlaneEmbedding(g, rot)

@@ -71,9 +71,9 @@ from .planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
     cofacial_masks,
-    corners,
     is_planar,
     rotation_system,
+    walks,
 )
 
 DEFAULT_BUDGET = 50_000_000
@@ -263,7 +263,7 @@ def enumerate_c4free_planar(
 
     def visit(state):
         g, rot = state
-        # rot's corners and cofacial masks, traced on first use, then
+        # rot's face walks and cofacial masks, traced on first use, then
         # shared by the maximality test and the expansion of g
         traced = cache(partial(_faces_and_masks, rot))
         emit = g.min_degree() >= t and (
@@ -282,7 +282,7 @@ def enumerate_c4free_planar(
 
 
 def _faces_and_masks(rotation):
-    faces = corners(rotation)
+    faces = walks(rotation)
     return faces, cofacial_masks(rotation, faces)
 
 
@@ -292,7 +292,7 @@ def _c4free_children(g, rot, traced, cap, t, budget):
 
     Only candidates that ``_open_edges`` leaves open are built; each built
     child is kept, with its canonical form, iff uv is canonical in it and
-    it is planar.  traced() gives rot's ``corners`` and cofacial masks.
+    it is planar.  traced() gives rot's face ``walks`` and cofacial masks.
     A cofacial uv (on a common face of rot, or in different components)
     gives a planar child, whose rotation inserts v at u's corner of that
     face and u at v's; only the other children ask networkx, whose one
@@ -383,12 +383,14 @@ def _edge_beaten(ranked, created, u, v, adj, degs) -> bool:
 
 
 def _chord(rot, faces, u: int, v: int):
-    """rot plus the edge uv, drawn inside a face of rot holding both u and
+    """rot plus the edge uv, drawn inside the first of faces, rot's walks,
+    that holds both u and v, after that face's last dart into u and into
     v, or, when there is none, between their two components."""
     rows = list(rot)
-    for face in faces:
-        if u in face and v in face:
-            i, j = face[u] + 1, face[v] + 1
+    for walk in faces:
+        last = {y: x for x, y in walk}  # the last dart into each vertex
+        if u in last and v in last:
+            i, j = rot[u].index(last[u]) + 1, rot[v].index(last[v]) + 1
             break
     else:
         i, j = len(rot[u]), len(rot[v])
@@ -437,48 +439,30 @@ def _k4_embedding():
 def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
     """Split w between rotation positions i and j; returns (graph, rotation).
 
-    The new vertex takes label n.  Rotation updates keep the embedding a
-    triangulation; validity is asserted by the census tests, not here.
+    The new vertex takes label n; only w, a, b, the moved neighbours and
+    n are rewritten.  The child is built unvalidated: the census tests
+    assert that the rotation stays a triangulation.
     """
     n = g.n
     rot_w = rotation[w]
-    d = len(rot_w)
     a, b = rot_w[i], rot_w[j]
-    keep = tuple(rot_w[i : j + 1])          # stays with w
-    move = tuple(rot_w[j:] + rot_w[: i + 1])  # goes to the new vertex
-    new_rot_w = keep + (n,)
-    new_rot_new = move + (w,)
-    rows = list(g.adj)
-    rows.append(0)
-    for m in move[1:-1]:
-        rows[w] &= ~(1 << m)
-        rows[m] &= ~(1 << w)
+    move = rot_w[j:] + rot_w[: i + 1]  # goes to the new vertex
+    rows = list(g.adj) + [1 << w]
+    rows[w] |= 1 << n
+    new_rotation = list(rotation) + [move + (w,)]
+    new_rotation[w] = rot_w[i : j + 1] + (n,)
     for m in move:
         rows[n] |= 1 << m
         rows[m] |= 1 << n
-    rows[w] |= 1 << n
-    rows[n] |= 1 << w
-    new_rotation = []
-    for v in range(n):
-        if v == w:
-            new_rotation.append(new_rot_w)
-        elif v == a:
-            # a keeps both halves; the new vertex slots in after w
-            rv = rotation[v]
-            k = rv.index(w)
-            new_rotation.append(rv[: k + 1] + (n,) + rv[k + 1 :])
-        elif v == b:
-            # b gets the new vertex before w
-            rv = rotation[v]
-            k = rv.index(w)
-            new_rotation.append(rv[:k] + (n,) + rv[k:])
-        elif v in move:
-            rv = rotation[v]
-            new_rotation.append(tuple(n if x == w else x for x in rv))
-        else:
-            new_rotation.append(rotation[v])
-    new_rotation.append(new_rot_new)
-    return Graph(n + 1, tuple(rows)), tuple(new_rotation)
+    for m in move[1:-1]:
+        # the interior of the moved arc trades w for the new vertex
+        rows[w] &= ~(1 << m)
+        rows[m] &= ~(1 << w)
+        new_rotation[m] = tuple(n if x == w else x for x in rotation[m])
+    # a keeps w and the new vertex slots in after it; b gets it before w
+    for x, k in ((a, rotation[a].index(w) + 1), (b, rotation[b].index(w))):
+        new_rotation[x] = rotation[x][:k] + (n,) + rotation[x][k:]
+    return Graph._trusted(n + 1, tuple(rows)), tuple(new_rotation)
 
 
 def _contractible_edges(g: Graph):
@@ -526,9 +510,11 @@ def enumerate_triangulations(
         return False, _children(g, rot, n_target, prune5, budget)
 
     out = _search([_k4_embedding()], visit)
+    # children are built unvalidated; the classes leave validated
     return EnumerationResult(
-        tuple(g for _, (g, _) in out), tuple(r for _, (_, r) in out),
-        tuple(f for f, _ in out), budget.nodes)
+        tuple(Graph(g.n, g.adj) for _, (g, _) in out),
+        tuple(r for _, (_, r) in out), tuple(f for f, _ in out),
+        budget.nodes)
 
 
 def _children(g, rot, n_target, prune5, budget):

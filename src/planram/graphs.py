@@ -49,7 +49,7 @@ class Graph:
     @staticmethod
     def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
         """The graph on rows already known to be valid, such as a valid
-        graph's rows plus one edge between two distinct vertices; skips
+        graph's rows plus one edge or one vertex split; skips
         ``__post_init__``."""
         g = object.__new__(Graph)
         object.__setattr__(g, "n", n)

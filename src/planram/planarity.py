@@ -3,7 +3,8 @@
 An embedding is a rotation system: a cyclic ordering of the neighbours of
 every vertex.  Faces are traced combinatorially (the successor of a directed
 edge u->v is v->w where w follows u in the rotation at v), so everything here
-is exact integer combinatorics; no coordinates are involved.
+is exact integer combinatorics; no coordinates are involved.  ``walks`` is
+the one face tracer; every other reader of faces reads its walks.
 """
 
 from __future__ import annotations
@@ -48,29 +49,15 @@ class PlaneEmbedding:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        """Orbits of the face-successor map; every dart lies on one face."""
+        """The faces ``walks`` traces; every dart lies on one face."""
         if self.base.n == 1:
             return (Face(()),)  # no dart, and the one face around the vertex
-        index = {
-            (v, u): i
-            for v, nbrs in enumerate(self.rotation)
-            for i, u in enumerate(nbrs)
-        }
-        seen = set()
-        faces = []
-        for start in index:
-            if start in seen:
-                continue
-            walk = []
-            dart = start
-            while dart not in seen:
-                seen.add(dart)
-                walk.append(dart)
-                u, v = dart
-                nbrs = self.rotation[v]
-                dart = (v, nbrs[(index[(v, u)] + 1) % len(nbrs)])
-            faces.append(Face(tuple(walk)))
-        return tuple(faces)
+        return tuple(Face(walk) for walk in walks(self.rotation))
+
+    @cached_property
+    def face_of(self) -> dict[tuple[int, int], Face]:
+        """The face whose boundary holds each dart."""
+        return {dart: face for face in self.faces for dart in face.boundary}
 
     def face_census(self) -> dict[int, int]:
         census: dict[int, int] = {}
@@ -85,8 +72,6 @@ class PlaneEmbedding:
     def check_valid(self) -> None:
         if not self.euler_ok():
             raise errors.NotPlanar("face census violates Euler's formula")
-        if sum(f.length for f in self.faces) != 2 * self.base.edge_count:
-            raise errors.NotPlanar("face lengths do not cover every dart")
 
 
 def is_planar(g: Graph) -> bool:
@@ -114,31 +99,28 @@ def rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def corners(rotation) -> list[dict[int, int]]:
-    """The faces of a rotation system, each as one corner per vertex on it.
+def walks(rotation) -> list[tuple[tuple[int, int], ...]]:
+    """The faces of a rotation system, each as its closed walk of darts.
 
-    A face maps each of its vertices v to a position i in v's rotation
-    where the face passes from rotation[v][i] through v to the neighbour
-    after it: a new neighbour of v inserted after position i is drawn
-    inside that face.  A vertex the face visits more than once keeps one
-    of its corners.  Isolated vertices lie on no face.
+    The successor of the dart (u, v) is (v, w), where w follows u in v's
+    rotation.  A face starts at its first dart (v, rotation[v][i]), by v,
+    then by i, and the faces are listed in that order.  Isolated vertices
+    lie on no face.
     """
-    where = [{u: i for i, u in enumerate(nbrs)} for nbrs in rotation]
     seen = [0] * len(rotation)  # per vertex, the positions of its traced darts
     faces = []
     for v, nbrs in enumerate(rotation):
         for i in range(len(nbrs)):
             if seen[v] >> i & 1:
                 continue
-            face = {}
+            walk = []
             x, k = v, i
             while not seen[x] >> k & 1:
                 seen[x] |= 1 << k
                 y = rotation[x][k]
-                j = where[y][x]
-                face[y] = j
-                x, k = y, (j + 1) % len(rotation[y])
-            faces.append(face)
+                walk.append((x, y))
+                x, k = y, (rotation[y].index(x) + 1) % len(rotation[y])
+            faces.append(tuple(walk))
     return faces
 
 
@@ -151,20 +133,20 @@ def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
     or joins two separately drawn components.  A clear bit proves
     nothing, since another embedding of the graph may still put v and w
     on one face.  The masks are symmetric with clear diagonal.  faces are
-    the rotation's ``corners`` when already traced.  Raises NotPlanar
+    the rotation's ``walks`` when already traced.  Raises NotPlanar
     unless V - E + F = 2 (non-trivial components) + (isolated vertices),
     that is unless every component is drawn on the sphere.
     """
     if faces is None:
-        faces = corners(rotation)
+        faces = walks(rotation)
     n = len(rotation)
     masks = [0] * n
     components = []  # vertex masks of the non-trivial components
-    for face in faces:
+    for walk in faces:
         on_face = 0
-        for u in face:
+        for u, _ in walk:
             on_face |= 1 << u
-        for u in face:
+        for u in bits(on_face):
             masks[u] |= on_face
         # faces sharing a vertex lie in one component
         rest = []

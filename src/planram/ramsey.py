@@ -106,11 +106,15 @@ def verify_pr_upper(
     )
 
 
-def verify_pr_lower(n_wheel: int) -> Certificate:
+def verify_pr_lower(n_wheel: int, budget_nodes=None) -> Certificate:
     """Build and independently re-verify a witness on pr_target - 1 vertices."""
     started = time.time()
     claim = f"pr.lower.w{n_wheel}"
-    g = build_ramsey_lower_witness(n_wheel).base
+    try:
+        g = build_ramsey_lower_witness(n_wheel, budget_nodes).base
+    except errors.InfeasibleScale:
+        return _finish(claim, started, "infeasible", False,
+                       claimed_pr=pr_target(n_wheel))
     method = "search" if g.n <= 30 else "degree_argument"
     ok = not contains_c4(g) and is_planar(g)
     if method == "search":

@@ -132,6 +132,31 @@ def maximal_c4free_planar(g: Graph) -> bool:
     return True
 
 
+def reference_faces(rotation):
+    """The dart walk of each face of a rotation system, traced through a
+    dart index and a seen set, in the order of their first darts."""
+    index = {
+        (v, u): i
+        for v, nbrs in enumerate(rotation)
+        for i, u in enumerate(nbrs)
+    }
+    seen = set()
+    faces = []
+    for start in index:
+        if start in seen:
+            continue
+        walk = []
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            walk.append(dart)
+            u, v = dart
+            nbrs = rotation[v]
+            dart = (v, nbrs[(index[(v, u)] + 1) % len(nbrs)])
+        faces.append(tuple(walk))
+    return faces
+
+
 def triangulation_check(g: Graph, rotation) -> None:
     """Raise unless the rotation system is a simple triangulation embedding."""
     e = PlaneEmbedding(g, rotation)
@@ -142,10 +167,10 @@ def triangulation_check(g: Graph, rotation) -> None:
         raise errors.NotPlanar("non-triangular face")
 
 
-def c4free_search(task):
-    """Run the C4-free search of task.  Returns its result, the (graph,
-    rotation) state of every node it visits and every child it builds,
-    that is every graph handed to the canonicity test."""
+def recorded_search(task):
+    """Run the search of task, C4-free or triangulation.  Returns its
+    result, the (graph, rotation) state of every node it visits and every
+    child it builds, that is every graph handed to the canonicity test."""
     states, built = [], []
     search, form_if_canonical = (enumeration._search,
                                  enumeration._form_if_canonical)
@@ -163,5 +188,8 @@ def c4free_search(task):
     with mock.patch.object(enumeration, "_search", recording_search), \
             mock.patch.object(enumeration, "_form_if_canonical",
                               recording_form):
-        result = enumeration.enumerate_c4free_planar(task)
+        if task.mode == "triangulation":
+            result = enumeration.enumerate_triangulations(task)
+        else:
+            result = enumeration.enumerate_c4free_planar(task)
     return result, states, built

@@ -82,17 +82,34 @@ def test_no_module_reads_the_environment():
     assert not found, found
 
 
+def called_name(call):
+    """The name a call calls: f for f(...), and name for X.name(...)."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
 def callers(name):
-    """module.function for each function of the package that calls name."""
+    """module.function for each function of the package that calls name,
+    bare or as an attribute."""
     found = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == name for node in ast.walk(fn)):
+                    isinstance(node, ast.Call) and called_name(node) == name
+                    for node in ast.walk(fn)):
                 found.add(f"{path.stem}.{fn.name}")
     return found
+
+
+def test_only_the_generators_skip_graph_validation():
+    # graphs are validated where they enter the program; only the two
+    # generators build children from a valid parent without the checks,
+    # and each validates the classes it returns
+    assert callers("_trusted") == {
+        "enumeration._c4free_children", "enumeration._split_vertex"}
 
 
 def test_only_planarity_imports_networkx():

@@ -28,7 +28,7 @@ from planram.formats import from_graph6, from_planar_code
 from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
 from planram.planarity import PlaneEmbedding, c4free_edge_cap, embed, is_planar
 
-from oracles import c4free_search, maximal_c4free_planar, triangulation_check
+from oracles import maximal_c4free_planar, recorded_search, triangulation_check
 
 # class counts frozen after oracle validation (brute force below re-derives
 # the first six; the larger ones are pinned for regression)
@@ -42,6 +42,8 @@ STREAM_SHA256 = {
         "230e0f67565c22911fd3bca6876fe94668f25ad87200087756226c6e7c544b04",
     ("--n", "9", "--maximal-only"):
         "f25918dc3f19057949c04f88b62ed46ab007219e9550147dc13a3aadcd8f01b9",
+    ("--n", "9", "--maximal-only", "--format", "planar_code"):
+        "67b2ccf8fb80370d5da12b0305ee04c88514e06e018c35a592f7c6a3e6e3e52e",
     ("--mode", "triangulation", "--n", "10", "--format", "planar_code"):
         "5b5ade133f84f50e0908a521e629c5c8047fad20a1e391334951242e7486eb01",
     ("--mode", "triangulation", "--min-degree", "5", "--n", "14"):
@@ -275,7 +277,7 @@ def test_c4free_lookahead_rejects_only_noncanonical_children():
 
 def test_every_c4free_state_carries_a_plane_rotation():
     for n in range(1, 9):
-        _, states, _ = c4free_search(
+        _, states, _ = recorded_search(
             EnumerationTask(n=n, mode="c4free_planar"))
         for g, rot in states:
             for v in range(n):
@@ -294,9 +296,11 @@ def test_every_c4free_state_carries_a_plane_rotation():
 def test_built_children_and_classes_pass_validation():
     # children are built without Graph's checks; rebuilding each through
     # the validating constructor gives an equal graph
-    for n in range(1, 9):
-        result, _, built = c4free_search(
-            EnumerationTask(n=n, mode="c4free_planar"))
+    tasks = [EnumerationTask(n=n, mode="c4free_planar") for n in range(1, 9)]
+    tasks += [EnumerationTask(n=n, mode="triangulation") for n in range(4, 10)]
+    for task in tasks:
+        result, _, built = recorded_search(task)
+        assert built or task.n <= 4, task
         for g in (*built, *result.graphs):
             assert Graph(g.n, g.adj) == g
 
@@ -312,7 +316,7 @@ CHILDREN_BUILT = [
 
 def test_c4free_children_built_frozen():
     for task, children in CHILDREN_BUILT:
-        assert len(c4free_search(task)[2]) == children, task
+        assert len(recorded_search(task)[2]) == children, task
 
 
 # children built (_split_vertex calls) per task; outputs and nodes_visited

@@ -16,7 +16,7 @@ from planram.planarity import (
     vertex_edge_dual,
 )
 
-from oracles import c4free_search, path, wheel
+from oracles import path, recorded_search, reference_faces, wheel
 
 
 def test_is_planar():
@@ -48,7 +48,7 @@ def test_cofacial_masks_are_sound():
     for n in range(1, 8):
         task = EnumerationTask(n=n, mode="c4free_planar")
         # the rotations the search carries, at every state it visits
-        for g, rot in c4free_search(task)[1]:
+        for g, rot in recorded_search(task)[1]:
             masks = cofacial_masks(rot)
             for v in range(n):
                 assert not masks[v] >> v & 1
@@ -98,6 +98,36 @@ def test_cofacial_masks_small_cases():
     k5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
     with pytest.raises(errors.NotPlanar):
         cofacial_masks(k5)
+
+
+def test_walks_match_the_reference_tracer():
+    from planram.construct import SEED_NAMES, load_seed
+    from planram.enumeration import (
+        EnumerationTask,
+        enumerate_c4free_planar,
+        enumerate_triangulations,
+    )
+
+    embeddings = [load_seed(name) for name in SEED_NAMES]
+    for n in range(1, 9):
+        # every carried rotation: the search emits each state it visits
+        r = enumerate_c4free_planar(EnumerationTask(n=n, mode="c4free_planar"))
+        embeddings += map(PlaneEmbedding, r.graphs, r.embeddings)
+    for n in range(4, 9):
+        r = enumerate_triangulations(EnumerationTask(n=n, mode="triangulation"))
+        embeddings += map(PlaneEmbedding, r.graphs, r.embeddings)
+    assert len(embeddings) == 9 + 545 + 23
+    for e in embeddings:
+        boundaries = [f.boundary for f in e.faces]
+        if e.base.n == 1:
+            assert boundaries == [()]  # one face and no dart
+        else:
+            assert boundaries == reference_faces(e.rotation)
+        darts = [d for f in e.faces for d in f.boundary]
+        assert len(e.face_of) == len(darts) == 2 * e.base.edge_count
+        for face in e.faces:
+            for dart in face.boundary:
+                assert e.face_of[dart] is face
 
 
 def test_invalid_rotation_detected():

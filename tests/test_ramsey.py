@@ -5,6 +5,7 @@ import json
 import pytest
 
 from planram import enumeration, errors, ramsey
+from planram.cli import main
 from planram.formats import from_graph6
 from planram.graphs import (
     Graph,
@@ -25,6 +26,21 @@ def test_certificate_json_is_canonical():
     assert payload["verdict"] == "verified"
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == text
     assert isinstance(payload["runtime_ms"], int)
+
+
+def test_pr_lower_budget_cut_is_infeasible(monkeypatch, capsys):
+    # a cached sweep is returned whatever the budget, so start from none
+    monkeypatch.setattr(enumeration, "_CLASSES", {})
+    cert = ramsey.verify_pr_lower(3, budget_nodes=10)
+    assert cert.verdict == "infeasible"
+    assert not cert.exhaustive
+    assert main(["verify", "pr-lower", "--wheel", "3",
+                 "--budget-nodes", "10"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "infeasible"
+    assert ramsey.verify_pr_lower(3).payload() == {
+        "claim_id": "pr.lower.w3", "verdict": "verified", "exhaustive": True,
+        "witnesses": ["H{CYOCB"], "version": "1.0.0",
+        "counts": {"by_search": 1, "claimed_pr": 10, "witness_order": 9}}
 
 
 def test_witnesses_revalidate_independently():
