@@ -144,43 +144,45 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
         initial = [groups[c] for c in sorted(groups)]
     else:
         initial = [(1 << n) - 1]
-    adj = g.adj
-    cells = _refine(adj, initial)
     best: list = [None, None, None]  # key, permutation, order
-    automorphisms = []
-
-    def descend(cells):
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1):
-                tried: list[int] = []
-                for v in bits(cell):
-                    twin = next((u for u in tried if _twins(adj, u, v)), None)
-                    if twin is not None:
-                        # v's branch is twin's with the two swapped
-                        swap = list(range(n))
-                        swap[twin], swap[v] = v, twin
-                        automorphisms.append(tuple(swap))
-                        continue
-                    tried.append(v)
-                    rest = cell & ~(1 << v)
-                    split = cells[:idx] + [1 << v, rest] + cells[idx + 1 :]
-                    # cells is equitable: every vertex of a cell, and so
-                    # of any part later split from it, has the same
-                    # number of neighbours in each cell.  The other cells
-                    # as splitters split nothing, and {v} splits nothing
-                    # once rest has, so rest alone starts the work list
-                    descend(_refine(adj, split, [rest]))
-                return
-        key, perm, order = _leaf_key(g, cells)
-        if best[1] is None or key < best[0]:
-            best[:] = key, perm, order
-        elif key == best[0]:
-            # both leaves relabel g to the same graph
-            automorphisms.append(tuple(best[2][p] for p in perm))
-
-    descend(cells)
+    automorphisms: list = []
+    _descend(g, _refine(g.adj, initial), best, automorphisms)
     return CanonicalForm(_serialization(n, best[0]), best[1],
                          tuple(automorphisms))
+
+
+def _descend(g: Graph, cells, best: list, automorphisms: list) -> None:
+    """Search the leaves below the equitable partition cells: keep the
+    smallest leaf in best as [key, permutation, order], and append the
+    automorphisms met on the way to automorphisms."""
+    adj = g.adj
+    for idx, cell in enumerate(cells):
+        if cell & (cell - 1):
+            tried: list[int] = []
+            for v in bits(cell):
+                twin = next((u for u in tried if _twins(adj, u, v)), None)
+                if twin is not None:
+                    # v's branch is twin's with the two swapped
+                    swap = list(range(g.n))
+                    swap[twin], swap[v] = v, twin
+                    automorphisms.append(tuple(swap))
+                    continue
+                tried.append(v)
+                rest = cell & ~(1 << v)
+                split = cells[:idx] + [1 << v, rest] + cells[idx + 1 :]
+                # cells is equitable: every vertex of a cell, and so of
+                # any part later split from it, has the same number of
+                # neighbours in each cell.  The other cells as splitters
+                # split nothing, and {v} splits nothing once rest has, so
+                # rest alone starts the work list
+                _descend(g, _refine(adj, split, [rest]), best, automorphisms)
+            return
+    key, perm, order = _leaf_key(g, cells)
+    if best[1] is None or key < best[0]:
+        best[:] = key, perm, order
+    elif key == best[0]:
+        # both leaves relabel g to the same graph
+        automorphisms.append(tuple(best[2][p] for p in perm))
 
 
 def _twins(adj, u, v):

@@ -64,12 +64,9 @@ def _read_inputs():
         pairs = []
         for rot in from_planar_code(data):
             g = rotation_to_graph(rot)
-            if not g.is_connected():
-                pairs.append((g, None))
-                continue
-            e = PlaneEmbedding(g, rot)
-            e.check_valid()  # a rotation system need not be a plane one
-            pairs.append((g, e))
+            # a rotation system need not be a plane one
+            pairs.append((g, PlaneEmbedding(g, rot) if g.is_connected()
+                          else None))
         return pairs
     out = []
     for line in data.split():
@@ -98,7 +95,7 @@ def _write_graphs(graphs, fmt, out, rotations):
             out.write(to_graph6(g) + "\n")
         return
     for g, rot in zip(graphs, rotations, strict=True):
-        PlaneEmbedding(g, rot).check_valid()
+        PlaneEmbedding(g, rot)
     out.buffer.write(to_planar_code(rotations))
 
 

@@ -7,8 +7,8 @@ transcription cannot survive silently.
 The three operations grow a C4-free plane graph while controlling the
 minimum degree:
 
-* Operation A consumes a face of length >= 6, splits two degree-4 vertices
-  at boundary distance 3 on it and drops a new degree-4 vertex inside.
+* Operation A takes a face walk of length >= 6, splits two degree-4
+  vertices at distance 3 along it and drops a new degree-4 vertex inside.
   Net +3 vertices, +6 edges, minimum degree stays 4.
 * Operation B splits one degree-4 vertex across two incident faces of
   length >= 5 and joins the halves by an edge.  Net +1 vertex; the two
@@ -31,7 +31,7 @@ from importlib import resources
 from . import errors
 from .formats import rotation_to_graph
 from .graphs import MAX_VERTICES, Graph, contains_c4, contains_wheel
-from .planarity import Face, PlaneEmbedding, edge_identity_residual
+from .planarity import PlaneEmbedding, edge_identity_residual
 
 SEED_NAMES = (
     "fig8a", "fig8b", "fig8c", "fig8d", "fig8e",
@@ -71,7 +71,6 @@ def load_seed(name: str) -> PlaneEmbedding:
     embedding = PlaneEmbedding(graph, rotation)
     claims = _CLAIMS[name]
     try:
-        embedding.check_valid()
         if graph.n != claims["order"]:
             raise errors.PropertyCheckFailed(f"order {graph.n}")
         if contains_c4(graph):
@@ -81,7 +80,7 @@ def load_seed(name: str) -> PlaneEmbedding:
         if claims.get("regular") and graph.max_degree() != graph.min_degree():
             raise errors.PropertyCheckFailed("not regular")
         if "big_face" in claims:
-            longest = max(f.length for f in embedding.faces)
+            longest = max(len(f) for f in embedding.faces)
             if longest < claims["big_face"]:
                 raise errors.PropertyCheckFailed(f"largest face {longest}")
         if edge_identity_residual(embedding) != 0:
@@ -102,9 +101,8 @@ def _post_check(rotation, min_degree: int, op: str) -> PlaneEmbedding:
     """The embedding of an operation's new rotation, checked to be a C4-free
     plane graph of the given minimum degree."""
     rotation = tuple(rotation)
-    e = PlaneEmbedding(rotation_to_graph(rotation), rotation)
     try:
-        e.check_valid()
+        e = PlaneEmbedding(rotation_to_graph(rotation), rotation)
     except errors.NotPlanar as ex:
         raise errors.PropertyViolation(f"{op}: {ex}") from None
     if contains_c4(e.base):
@@ -124,26 +122,26 @@ def _replace(rotation, vertex, old, new):
 # -- Operation A ----------------------------------------------------------
 
 
-def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding:
+def operation_a(e: PlaneEmbedding, face, u: int, v: int) -> PlaneEmbedding:
     """Split u and v on a >= 6 face and hang a new vertex between the halves.
 
-    u and v must be degree-4 vertices, v three steps after u along the
-    face.  The result keeps minimum degree 4 and must still have a face of
-    length >= 6.
+    face is one of e's face walks.  u and v must be degree-4 vertices, v
+    three steps after u along the walk.  The result keeps minimum degree 4
+    and must still have a face of length >= 6.
     """
     g = e.base
     if face not in e.faces:
         raise errors.BadFace("face does not belong to this embedding")
-    if face.length < 6:
-        raise errors.BadFace(f"face length {face.length} < 6")
+    if len(face) < 6:
+        raise errors.BadFace(f"face length {len(face)} < 6")
     if g.degree(u) != 4 or g.degree(v) != 4:
         raise errors.BadVertex("u and v must have degree 4")
-    walk = [a for a, _ in face.boundary]
+    walk = [a for a, _ in face]
     try:
         i = walk.index(u)
     except ValueError:
         raise errors.BadVertex("u is not on the face") from None
-    k = face.length
+    k = len(face)
     if u == v or walk[(i + 3) % k] != v:
         raise errors.BadDistance("v is not three steps after u on the face")
     p1, p2 = walk[(i + 1) % k], walk[(i + 2) % k]
@@ -173,7 +171,7 @@ def operation_a(e: PlaneEmbedding, face: Face, u: int, v: int) -> PlaneEmbedding
     new_rot.append((p2, w, v1, y2))       # v2
     new_rot.append((u2, u1, v1, v2))      # w
     result = _post_check(new_rot, 4, "operation A")
-    if max(f.length for f in result.faces) < 6:
+    if max(len(f) for f in result.faces) < 6:
         raise errors.PropertyViolation("operation A: no face of length >= 6 left")
     return result
 
@@ -195,10 +193,10 @@ def operation_b(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding:
     rv = e.rotation[v]
     n0, n1, n2, n3 = (rv[(choice + i) % 4] for i in range(4))
     f, h = e.face_of[(n0, v)], e.face_of[(n2, v)]
-    if f.length < 5 or h.length < 5:
+    if len(f) < 5 or len(h) < 5:
         raise errors.BadVertex(
             f"operation B at {v}: crossed faces have lengths "
-            f"{f.length}, {h.length}"
+            f"{len(f)}, {len(h)}"
         )
     v1, v2 = v, g.n
     new_rot = list(e.rotation)
@@ -225,20 +223,20 @@ def operation_c(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
     if not g.has_edge(u, v):
         raise errors.BadEdge(f"{edge} is not an edge")
     f, h = e.face_of[(u, v)], e.face_of[(v, u)]
-    if f.length < 6 or h.length < 6:
+    if len(f) < 6 or len(h) < 6:
         raise errors.BadEdge(
-            f"faces at the edge have lengths {f.length}, {h.length}; need >= 6"
+            f"faces at the edge have lengths {len(f)}, {len(h)}; need >= 6"
         )
-    fwalk = [x for x, _ in f.boundary]
-    hwalk = [x for x, _ in h.boundary]
-    fi = next(i for i, d in enumerate(f.boundary) if d == (u, v))
-    hi = next(i for i, d in enumerate(h.boundary) if d == (v, u))
+    fwalk = [x for x, _ in f]
+    hwalk = [x for x, _ in h]
+    fi = f.index((u, v))
+    hi = h.index((v, u))
     # on f, walking backwards from u, three steps away from v
-    tf = fwalk[(fi - 3) % f.length]
-    tf_prev = fwalk[(fi - 4) % f.length]
+    tf = fwalk[(fi - 3) % len(f)]
+    tf_prev = fwalk[(fi - 4) % len(f)]
     # on h, walking forwards past u, two steps
-    tg = hwalk[(hi + 3) % h.length]
-    tg_prev = hwalk[(hi + 2) % h.length]
+    tg = hwalk[(hi + 3) % len(h)]
+    tg_prev = hwalk[(hi + 2) % len(h)]
     a, b = g.n, g.n + 1
     new_rot = list(e.rotation)
     new_rot[u] = _replace(new_rot, u, v, a)
@@ -278,16 +276,13 @@ def resolve_seed(name: str) -> PlaneEmbedding:
     if k is None:
         return load_seed(name)
     rotation = tuple(((v - 1) % k, (v + 1) % k) for v in range(k))
-    e = PlaneEmbedding(Graph.cycle(k), rotation)
-    e.check_valid()
-    return e
+    return PlaneEmbedding(Graph.cycle(k), rotation)
 
 
 def apply_op(e: PlaneEmbedding, op: tuple) -> PlaneEmbedding:
     kind = op[0]
     if kind == "A":
-        _, u, v, boundary = op
-        face = next(f for f in e.faces if f.boundary == boundary)
+        _, u, v, face = op
         return operation_a(e, face, u, v)
     if kind == "B":
         _, v, choice = op
@@ -304,9 +299,9 @@ def apply_op(e: PlaneEmbedding, op: tuple) -> PlaneEmbedding:
 
 def _a_moves(e: PlaneEmbedding):
     for face in e.faces:
-        walk = [a for a, _ in face.boundary]
+        walk = [a for a, _ in face]
         for i, u in enumerate(walk):
-            yield ("A", u, walk[(i + 3) % len(walk)], face.boundary)
+            yield ("A", u, walk[(i + 3) % len(walk)], face)
 
 
 def _b_moves(e: PlaneEmbedding):

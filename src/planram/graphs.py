@@ -194,31 +194,33 @@ def cycle_of_length(g: Graph, k: int):
         allowed = ((1 << g.n) - 1) >> s << s  # only vertices >= s
         if (g.adj[s] & allowed).bit_count() < 2:
             continue
-        witness = _find_cycle(g, k, s, allowed)
+        witness = _find_cycle(g, s, allowed, s, 1 << s, [s], k - 1)
         if witness is not None:
             return witness
 
     return None
 
 
-def _find_cycle(g: Graph, k: int, s: int, allowed: int):
-    def extend(v: int, used: int, path: list[int], remaining: int):
-        if remaining == 0:
-            return list(path) if g.adj[v] >> s & 1 else None
-        # keep the anchor s reachable: the path must close back to it
-        blocked = (used & ~(1 << v) & ~(1 << s)) | (~allowed & ((1 << g.n) - 1))
-        region = g.component_mask(v, forbidden=blocked)
-        if not region >> s & 1 or region.bit_count() < remaining + 1:
-            return None
-        for w in bits(g.adj[v] & allowed & ~used):
-            path.append(w)
-            found = extend(w, used | (1 << w), path, remaining - 1)
-            if found is not None:
-                return found
-            path.pop()
+def _find_cycle(g: Graph, s: int, allowed: int, v: int, used: int,
+                path: list[int], remaining: int):
+    """The cycle through s that extends path, which runs from s to v over
+    the vertices of used, by remaining more vertices of allowed; None if
+    there is none."""
+    if remaining == 0:
+        return list(path) if g.adj[v] >> s & 1 else None
+    # keep the anchor s reachable: the path must close back to it
+    blocked = (used & ~(1 << v) & ~(1 << s)) | (~allowed & ((1 << g.n) - 1))
+    region = g.component_mask(v, forbidden=blocked)
+    if not region >> s & 1 or region.bit_count() < remaining + 1:
         return None
-
-    return extend(s, 1 << s, [s], k - 1)
+    for w in bits(g.adj[v] & allowed & ~used):
+        path.append(w)
+        found = _find_cycle(g, s, allowed, w, used | (1 << w), path,
+                            remaining - 1)
+        if found is not None:
+            return found
+        path.pop()
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ every vertex.  Faces are traced combinatorially (the successor of a directed
 edge u->v is v->w where w follows u in the rotation at v), so everything here
 is exact integer combinatorics; no coordinates are involved.  ``walks`` is
 the one face tracer; every other reader of faces reads its walks.
+
+A PlaneEmbedding is plane by construction; a face is its walk.
 """
 
 from __future__ import annotations
@@ -19,59 +21,39 @@ from .graphs import Graph, bits, contains_c4
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face boundary as a closed directed-edge walk."""
-
-    boundary: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.boundary)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(u for u, _ in self.boundary)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(u, v), max(u, v)) for u, v in self.boundary)
-
-
-@dataclass(frozen=True)
 class PlaneEmbedding:
+    """A connected graph and a rotation system that draws it on the
+    sphere.  Construction raises ValueError unless each rotation lists its
+    vertex's neighbours, and NotPlanar unless V - E + F = 2."""
+
     base: Graph
     rotation: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        g = self.base
         for v, nbrs in enumerate(self.rotation):
-            if set(nbrs) != set(bits(self.base.adj[v])) or len(nbrs) != self.base.degree(v):
+            if set(nbrs) != set(bits(g.adj[v])) or len(nbrs) != g.degree(v):
                 raise ValueError(f"rotation at {v} does not list its neighbours")
+        if not g.is_connected() or g.n - g.edge_count + len(self.faces) != 2:
+            raise errors.NotPlanar("face census violates Euler's formula")
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """The faces ``walks`` traces; every dart lies on one face."""
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The walks ``walks`` traces; every dart lies on one face."""
         if self.base.n == 1:
-            return (Face(()),)  # no dart, and the one face around the vertex
-        return tuple(Face(walk) for walk in walks(self.rotation))
+            return ((),)  # no dart, and the one face around the vertex
+        return tuple(walks(self.rotation))
 
     @cached_property
-    def face_of(self) -> dict[tuple[int, int], Face]:
-        """The face whose boundary holds each dart."""
-        return {dart: face for face in self.faces for dart in face.boundary}
+    def face_of(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """The walk that holds each dart."""
+        return {dart: walk for walk in self.faces for dart in walk}
 
     def face_census(self) -> dict[int, int]:
         census: dict[int, int] = {}
-        for face in self.faces:
-            census[face.length] = census.get(face.length, 0) + 1
+        for walk in self.faces:
+            census[len(walk)] = census.get(len(walk), 0) + 1
         return census
-
-    def euler_ok(self) -> bool:
-        g = self.base
-        return g.is_connected() and g.n - g.edge_count + len(self.faces) == 2
-
-    def check_valid(self) -> None:
-        if not self.euler_ok():
-            raise errors.NotPlanar("face census violates Euler's formula")
 
 
 def is_planar(g: Graph) -> bool:
@@ -82,9 +64,7 @@ def embed(g: Graph) -> PlaneEmbedding:
     """One valid combinatorial embedding (not canonical, but deterministic)."""
     if not g.is_connected():
         raise errors.Disconnected("embedding requires a connected graph")
-    embedding = PlaneEmbedding(g, rotation_system(g))
-    embedding.check_valid()
-    return embedding
+    return PlaneEmbedding(g, rotation_system(g))
 
 
 def rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -207,12 +187,14 @@ def vertex_edge_dual(e: PlaneEmbedding) -> Graph:
     and exactly one vertex.  (Faces sharing one edge necessarily share its
     two endpoints; the shared edge takes precedence in that reading.)
     """
-    big = [f for f in e.faces if f.length >= 5]
+    big = [f for f in e.faces if len(f) >= 5]
+    vertex_sets = [frozenset(u for u, _ in f) for f in big]
+    edge_sets = [frozenset((min(u, v), max(u, v)) for u, v in f) for f in big]
     edges = []
     for i in range(len(big)):
         for j in range(i + 1, len(big)):
-            shared_edges = len(big[i].edge_set & big[j].edge_set)
-            shared_vertices = len(big[i].vertex_set & big[j].vertex_set)
+            shared_edges = len(edge_sets[i] & edge_sets[j])
+            shared_vertices = len(vertex_sets[i] & vertex_sets[j])
             if shared_edges == 1 or (shared_edges == 0 and shared_vertices == 1):
                 edges.append((i, j))
     return Graph.from_edges(len(big), edges)
@@ -228,15 +210,11 @@ def edge_identity_residual(e: PlaneEmbedding) -> int:
     15(n-2) - 2*tau - sum over k >= 6 of 3(k-5) f_k; the residual
     7*eps - [ ... ] is zero on every valid input.
     """
-    g = e.base
-    if not g.is_connected():
-        raise errors.Disconnected("identity requires a connected base graph")
+    g = e.base  # connected, as every PlaneEmbedding's is
     if contains_c4(g):
         raise errors.NotC4Free("identity requires a C4-free base graph")
     tau = gamma(g).tau
-    penalty = sum(
-        3 * (f.length - 5) for f in e.faces if f.length >= 6
-    )
+    penalty = sum(3 * (len(f) - 5) for f in e.faces if len(f) >= 6)
     return 7 * g.edge_count - (15 * (g.n - 2) - 2 * tau - penalty)
 
 

@@ -131,3 +131,11 @@ def test_only_planarity_imports_networkx():
             if any(m.split(".")[0] == "networkx" for m in modules):
                 importers.append(path.stem)
     assert importers == ["planarity"]
+
+
+def test_walks_is_the_one_face_tracer():
+    # a face is its walk: every face the package reads comes from walks,
+    # so no second tracer or face type can grow back
+    assert callers("walks") == {
+        "planarity.faces", "planarity.cofacial_masks",
+        "enumeration._faces_and_masks"}

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from planram.canon import _refine, canonical_form, marked_pair_form
 from planram.graphs import Graph, bits
 
-from oracles import brute_force_isomorphic, path, relabel, wheel
+from oracles import (
+    brute_force_isomorphic,
+    cyclic_garbage,
+    path,
+    relabel,
+    wheel,
+)
 
 
 def random_graph(n, p, rng):
@@ -223,3 +229,7 @@ def test_canon_oracle(case):
                for c in sorted(set(colour))]
     for start in (initial, cells):
         assert _refine(g.adj, start) == reference_refine(g.adj, start)
+
+
+def test_search_leaves_no_reference_cycle():
+    assert cyclic_garbage(lambda: canonical_form(Graph.cycle(8))) == 0

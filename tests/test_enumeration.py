@@ -26,7 +26,13 @@ from planram.enumeration import (
 )
 from planram.formats import from_graph6, from_planar_code
 from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
-from planram.planarity import PlaneEmbedding, c4free_edge_cap, embed, is_planar
+from planram.planarity import (
+    PlaneEmbedding,
+    c4free_edge_cap,
+    embed,
+    is_planar,
+    walks,
+)
 
 from oracles import maximal_c4free_planar, recorded_search, triangulation_check
 
@@ -287,8 +293,8 @@ def test_every_c4free_state_carries_a_plane_rotation():
             for v in range(n):
                 if g.adj[v]:
                     components.add(g.component_mask(v))
-            # the dart orbits; the one-vertex graph's face has no dart
-            faces = [f for f in PlaneEmbedding(g, rot).faces if f.length]
+            # the dart orbits; an isolated vertex lies on none
+            faces = walks(rot)
             assert n - g.edge_count + len(faces) \
                 == 2 * len(components) + isolated, (g, rot)
 
@@ -444,7 +450,7 @@ def brute_force_triangulation_count(n):
         if not is_planar(g):
             continue
         e = embed(g)
-        if any(f.length != 3 for f in e.faces):
+        if any(len(f) != 3 for f in e.faces):
             continue
         seen.add(canonical_form(g).form)
     return len(seen)

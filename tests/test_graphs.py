@@ -16,7 +16,14 @@ from planram.graphs import (
     independence_number,
 )
 
-from oracles import brute_force_isomorphic, path, relabel, validates_in, wheel
+from oracles import (
+    brute_force_isomorphic,
+    cyclic_garbage,
+    path,
+    relabel,
+    validates_in,
+    wheel,
+)
 
 
 def brute_contains_c4(g):
@@ -75,6 +82,10 @@ def test_cycle_of_length_positive():
         assert len(cyc) == k
         for i in range(k):
             assert g.has_edge(cyc[i], cyc[(i + 1) % k])
+
+
+def test_cycle_search_leaves_no_reference_cycle():
+    assert cyclic_garbage(lambda: cycle_of_length(Graph.cycle(8), 8)) == 0
 
 
 def test_cycle_of_length_negative():

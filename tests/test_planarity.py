@@ -3,7 +3,7 @@
 import pytest
 
 from planram import errors
-from planram.graphs import Graph, contains_c4
+from planram.graphs import Graph, bits, contains_c4
 from planram.planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
@@ -14,6 +14,7 @@ from planram.planarity import (
     is_planar,
     rotation_system,
     vertex_edge_dual,
+    walks,
 )
 
 from oracles import path, recorded_search, reference_faces, wheel
@@ -29,12 +30,11 @@ def test_is_planar():
 def test_embed_faces_euler():
     for g in (Graph.cycle(5), wheel(6), Graph.complete(4)):
         e = embed(g)
-        e.check_valid()
-        assert e.euler_ok()
+        assert g.n - g.edge_count + len(e.faces) == 2
     e = embed(Graph.cycle(7))
-    assert sorted(f.length for f in e.faces) == [7, 7]
+    assert sorted(len(f) for f in e.faces) == [7, 7]
     e = embed(Graph.complete(4))
-    assert sorted(f.length for f in e.faces) == [3, 3, 3, 3]
+    assert sorted(len(f) for f in e.faces) == [3, 3, 3, 3]
 
 
 def test_embed_rejects_nonplanar():
@@ -108,25 +108,29 @@ def test_walks_match_the_reference_tracer():
         enumerate_triangulations,
     )
 
-    embeddings = [load_seed(name) for name in SEED_NAMES]
+    states = [(e.base, e.rotation) for e in map(load_seed, SEED_NAMES)]
     for n in range(1, 9):
-        # every carried rotation: the search emits each state it visits
+        # every carried rotation, disconnected ones too: the search emits
+        # each state it visits
         r = enumerate_c4free_planar(EnumerationTask(n=n, mode="c4free_planar"))
-        embeddings += map(PlaneEmbedding, r.graphs, r.embeddings)
+        states += zip(r.graphs, r.embeddings)
     for n in range(4, 9):
         r = enumerate_triangulations(EnumerationTask(n=n, mode="triangulation"))
-        embeddings += map(PlaneEmbedding, r.graphs, r.embeddings)
-    assert len(embeddings) == 9 + 545 + 23
-    for e in embeddings:
-        boundaries = [f.boundary for f in e.faces]
-        if e.base.n == 1:
-            assert boundaries == [()]  # one face and no dart
+        states += zip(r.graphs, r.embeddings)
+    assert len(states) == 9 + 545 + 23
+    for g, rot in states:
+        assert walks(rot) == reference_faces(rot)
+        if not g.is_connected():
+            continue
+        e = PlaneEmbedding(g, rot)
+        if g.n == 1:
+            assert e.faces == ((),)  # one face and no dart
         else:
-            assert boundaries == reference_faces(e.rotation)
-        darts = [d for f in e.faces for d in f.boundary]
-        assert len(e.face_of) == len(darts) == 2 * e.base.edge_count
+            assert list(e.faces) == walks(rot)
+        darts = [d for f in e.faces for d in f]
+        assert len(e.face_of) == len(darts) == 2 * g.edge_count
         for face in e.faces:
-            for dart in face.boundary:
+            for dart in face:
                 assert e.face_of[dart] is face
 
 
@@ -136,6 +140,19 @@ def test_invalid_rotation_detected():
     bad = ((1, 2), (0, 2), (1, 3), (2, 0))
     with pytest.raises(ValueError):
         PlaneEmbedding(g, bad)
+    # a PlaneEmbedding is plane by construction: K4's sorted rotation lists
+    # every neighbour but traces two faces, not four
+    k4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    with pytest.raises(errors.NotPlanar):
+        PlaneEmbedding(Graph.complete(4), k4)
+    # two disjoint K2s: each component is drawn, but not as one graph
+    with pytest.raises(errors.NotPlanar):
+        PlaneEmbedding(Graph.from_edges(4, [(0, 1), (2, 3)]),
+                       ((1,), (0,), (3,), (2,)))
+    # K3,3 has no plane rotation
+    k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    with pytest.raises(errors.NotPlanar):
+        PlaneEmbedding(k33, tuple(tuple(bits(row)) for row in k33.adj))
 
 
 def test_gamma():
@@ -178,7 +195,6 @@ def test_identity_residual_embedding_dependent():
     rotation = ((1, 3, 2, 6), (0, 8, 2, 5), (0, 1), (0, 4), (3, 5),
                 (4, 1), (0, 7), (6, 8), (7, 1))
     e = PlaneEmbedding(g, rotation)
-    e.check_valid()
     assert edge_identity_residual(e) == -6
     assert edge_identity_residual(embed(g)) == 0
 
