@@ -12,9 +12,9 @@ Subcommands:
 
 Graphs are read from stdin in graph6 (text lines) or planar_code (binary,
 ">>planar_code<<" header), auto-detected.  planar_code output is the
-embedding the generator or construction built; networkx embeds only
-graph6 input.  --out is opened before any input is read or search
-starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
+embedding the generator or construction built; the left-right planarity
+test embeds only graph6 input.  --out is opened before any input is read
+or search starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
 infeasible, 64 usage error.
 """
 

@@ -321,31 +321,32 @@ _GROW_NODE_CAP = 20_000  # moves a schedule search may try
 
 def _grow_to(e: PlaneEmbedding, target: int, move_gen):
     """Depth-first schedule search; returns the op list reaching the order."""
-    nodes = 0
-
-    def dfs(e, ops):
-        nonlocal nodes
-        if e.base.n == target:
-            return ops, e
-        if e.base.n > target:
-            return None
-        for op in move_gen(e):
-            nodes += 1
-            if nodes > _GROW_NODE_CAP:
-                raise errors.InfeasibleScale("schedule search exceeded its cap")
-            try:
-                nxt = apply_op(e, op)
-            except errors.PlanramError:
-                continue
-            found = dfs(nxt, ops + [op])
-            if found is not None:
-                return found
-        return None
-
-    found = dfs(e, [])
+    found = _schedule(e, [], target, move_gen, [0])
     if found is None:
         raise errors.UnsupportedOrder(f"no schedule found for order {target}")
     return found
+
+
+def _schedule(e: PlaneEmbedding, ops, target: int, move_gen, nodes: list):
+    """(ops extended by the first schedule of move_gen's moves that grows
+    e to the target order, the grown embedding), depth first, or None.
+    nodes[0] counts the moves tried, against ``_GROW_NODE_CAP``."""
+    if e.base.n == target:
+        return ops, e
+    if e.base.n > target:
+        return None
+    for op in move_gen(e):
+        nodes[0] += 1
+        if nodes[0] > _GROW_NODE_CAP:
+            raise errors.InfeasibleScale("schedule search exceeded its cap")
+        try:
+            nxt = apply_op(e, op)
+        except errors.PlanramError:
+            continue
+        found = _schedule(nxt, ops + [op], target, move_gen, nodes)
+        if found is not None:
+            return found
+    return None
 
 
 def _moves_bc(e):

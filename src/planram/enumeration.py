@@ -32,11 +32,12 @@ unchanged.  Two augmentation rules feed it:
   a marked-form tie.  Planarity is read off the parent's carried
   rotation: when u and v share one of its faces (or lie in different
   components) the new edge is drawn inside that face, which gives the
-  child's rotation in O(deg).  Only the remaining candidates ask
-  networkx, for a verdict and, if planar, the child's rotation in one
-  call.  Each class leaves with the rotation it was built with, so no
-  C4-free class is embedded again.  Children are built without ``Graph``
-  validation; graphs are validated where they enter the program.
+  child's rotation in O(deg).  Only the remaining candidates go to the
+  left-right planarity test, for a verdict and, if planar, the child's
+  rotation in one call.  Each class leaves with the rotation it was
+  built with, so no C4-free class is embedded again.  Children are built
+  without ``Graph`` validation; graphs are validated where they enter
+  the program.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -295,8 +296,9 @@ def _c4free_children(g, rot, traced, cap, t, budget):
     it is planar.  traced() gives rot's face ``walks`` and cofacial masks.
     A cofacial uv (on a common face of rot, or in different components)
     gives a planar child, whose rotation inserts v at u's corner of that
-    face and u at v's; only the other children ask networkx, whose one
-    embedding is both the verdict and the child's rotation.
+    face and u at v's; only the other children go to the left-right
+    test, whose one embedding is both the verdict and the child's
+    rotation.
     """
     n, adj = g.n, g.adj
     for u, v in _open_edges(g, cap, t, budget):

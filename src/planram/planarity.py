@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from . import errors
 from .graphs import Graph, bits, contains_c4
 
@@ -57,7 +55,7 @@ class PlaneEmbedding:
 
 
 def is_planar(g: Graph) -> bool:
-    return nx.check_planarity(_to_nx(g))[0]
+    return _LeftRight(g).test()
 
 
 def embed(g: Graph) -> PlaneEmbedding:
@@ -68,15 +66,15 @@ def embed(g: Graph) -> PlaneEmbedding:
 
 
 def rotation_system(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """networkx's clockwise rotation system of g, per component; g may be
-    disconnected but must be planar."""
-    ok, emb = nx.check_planarity(_to_nx(g))
-    if not ok:
+    """The clockwise rotation system of g that the left-right test draws,
+    per component; g may be disconnected but must be planar.  Each entry
+    is the tuple networkx 3.6.1's ``check_planarity(G)
+    .neighbors_cw_order(v)`` gives when G lists every vertex's neighbours
+    in ascending order."""
+    lr = _LeftRight(g)
+    if not lr.test():
         raise errors.NotPlanar("graph contains a K5 or K3,3 minor")
-    return tuple(
-        tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
-        for v in range(g.n)
-    )
+    return lr.rotation()
 
 
 def walks(rotation) -> list[tuple[tuple[int, int], ...]]:
@@ -149,11 +147,389 @@ def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
     return tuple(mask & ~(1 << v) for v, mask in enumerate(masks))
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
+# -- the left-right planarity test ---------------------------------------
+#
+# _LeftRight is a port of LRPlanarity and of the half-edge bookkeeping of
+# PlanarEmbedding in networkx 3.6.1 (networkx/algorithms/planarity.py),
+# which is distributed under the 3-clause BSD license:
+#
+#   Copyright (c) 2004-2025, NetworkX Developers
+#   Aric Hagberg <hagberg@lanl.gov>
+#   Dan Schult <dschult@colgate.edu>
+#   Pieter Swart <swart@lanl.gov>
+#   All rights reserved.
+#
+#   Redistribution and use in source and binary forms, with or without
+#   modification, are permitted provided that the following conditions are
+#   met:
+#
+#     * Redistributions of source code must retain the above copyright
+#       notice, this list of conditions and the following disclaimer.
+#
+#     * Redistributions in binary form must reproduce the above
+#       copyright notice, this list of conditions and the following
+#       disclaimer in the documentation and/or other materials provided
+#       with the distribution.
+#
+#     * Neither the name of the NetworkX Developers nor the names of its
+#       contributors may be used to endorse or promote products derived
+#       from this software without specific prior written permission.
+#
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+#   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+#   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+#   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+#   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+#   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+#   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+#   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+#   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+#   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+
+
+class _LeftRight:
+    """The left-right planarity test (U. Brandes, "The Left-Right
+    Planarity Test", 2009) of one graph: a port of ``LRPlanarity`` and of
+    the half-edge bookkeeping of ``PlanarEmbedding`` in networkx 3.6.1,
+    Copyright (c) 2004-2025, NetworkX Developers, under the 3-clause BSD
+    license reproduced above.
+
+    It runs networkx's three phases on the bitmask graph: the DFS
+    orientation with lowpoints and nesting depths, the testing phase with
+    its stack of conflict pairs, and the embedding phase.  It keeps every
+    order networkx's result depends on: each vertex visits its neighbours
+    in ascending order, adjacency lists are stable-sorted by nesting
+    depth, and each vertex's leftmost neighbour moves as it does in
+    ``PlanarEmbedding.add_half_edge``.  So ``rotation`` lists, vertex by
+    vertex, what networkx's ``neighbors_cw_order`` lists for the graph
+    whose adjacency is in ascending order.  Each new conflict pair starts
+    with two fresh empty intervals.
+
+    The edge oriented from v to w is the integer v * n + w, and -1 stands
+    for networkx's None; a per-edge list has one extra last slot, which an
+    index of -1 reads and writes.  A conflict pair is the list
+    [left.low, left.high, right.low, right.high].
+    """
+
+    __slots__ = ("n", "adj", "roots", "height", "parent_edge", "lowpt",
+                 "nesting_depth", "out", "ordered_adjs", "ref", "side", "S",
+                 "stack_bottom", "lowpt_edge", "cw", "ccw", "leftmost")
+
+    def __init__(self, g: Graph):
+        n = g.n
+        size = n * n + 1
+        self.n, self.adj = n, g.adj
+        self.roots = []
+        self.height = [-1] * n
+        self.parent_edge = [-1] * n
+        self.lowpt = [0] * size
+        self.nesting_depth = [0] * size
+        self.out = [[] for _ in range(n)]  # oriented edges, in DFS order
+        self.ref = [-1] * size
+        self.side = [1] * size
+        self.S = []
+        self.stack_bottom = [None] * size
+        self.lowpt_edge = [-1] * size
+
+    def test(self) -> bool:
+        """Orient the graph, then run the testing phase: True iff the
+        graph is planar."""
+        n = self.n
+        if n > 2 and sum(row.bit_count() for row in self.adj) > 6 * n - 12:
+            return False
+        self._orient()
+        self._sort_adjacency()
+        return all(self._test_from(root) for root in self.roots)
+
+    def rotation(self) -> tuple[tuple[int, ...], ...]:
+        """The embedding phase, after a test that found the graph planar:
+        each vertex's neighbours in clockwise order, from its leftmost."""
+        n, nesting_depth = self.n, self.nesting_depth
+        for v, out in enumerate(self.out):
+            for w in out:
+                nesting_depth[v * n + w] *= self._sign(v * n + w)
+        self._sort_adjacency()
+        self.cw, self.ccw = [-1] * (n * n), [-1] * (n * n)
+        self.leftmost = [-1] * n
+        for v, adjs in enumerate(self.ordered_adjs):
+            previous = -1
+            for w in adjs:
+                self._add_half_edge(v, w, ccw=previous)
+                previous = w
+        for root in self.roots:
+            self._embed_from(root)
+        cw, leftmost = self.cw, self.leftmost
+        rotation = []
+        for v in range(n):
+            row = []
+            x = leftmost[v]
+            while x != -1 and (not row or x != row[0]):
+                row.append(x)
+                x = cw[v * n + x]
+            rotation.append(tuple(row))
+        return tuple(rotation)
+
+    def _sort_adjacency(self):
+        n, nesting_depth = self.n, self.nesting_depth
+        self.ordered_adjs = [
+            sorted(out, key=lambda w, base=v * n: nesting_depth[base + w])
+            for v, out in enumerate(self.out)]
+
+    def _orient(self):
+        """networkx's ``dfs_orientation`` from each root in turn: orient
+        the edges by DFS and find lowpoints and nesting depths."""
+        n = self.n
+        height, parent_edge, out = self.height, self.parent_edge, self.out
+        lowpt, nesting_depth = self.lowpt, self.nesting_depth
+        lowpt2 = [0] * (n * n + 1)
+        nbrs = [list(bits(row)) for row in self.adj]
+        oriented = [0] * n  # per vertex, the neighbours oriented towards it
+        # per vertex, the next position in its list, or ~i to come back
+        # to the tree edge at i once its subtree is done
+        ind = [0] * n
+        for root in range(n):
+            if height[root] != -1:
+                continue
+            height[root] = 0
+            self.roots.append(root)
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                e = parent_edge[v]
+                hv = height[v]
+                adjs = nbrs[v]
+                i = ind[v]
+                resume = i < 0
+                if resume:
+                    i = ~i
+                while i < len(adjs):
+                    w = adjs[i]
+                    vw = v * n + w
+                    if resume:
+                        resume = False
+                    elif oriented[v] >> w & 1:
+                        i += 1
+                        continue  # the edge was already oriented
+                    else:
+                        oriented[w] |= 1 << v
+                        out[v].append(w)
+                        lowpt[vw] = lowpt2[vw] = hv
+                        if height[w] == -1:  # a tree edge
+                            parent_edge[w] = vw
+                            height[w] = hv + 1
+                            ind[v] = ~i
+                            stack.append(v)
+                            stack.append(w)
+                            break
+                        lowpt[vw] = height[w]  # a back edge
+                    # the nesting order: chordal edges after the others
+                    nesting_depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
+                    if e != -1:  # update the lowpoints of the parent edge
+                        if lowpt[vw] < lowpt[e]:
+                            lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                            lowpt[e] = lowpt[vw]
+                        elif lowpt[vw] > lowpt[e]:
+                            lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                        else:
+                            lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                    i += 1
+
+    def _test_from(self, root) -> bool:
+        """networkx's ``dfs_testing``: False iff the edges below root
+        admit no left-right partition."""
+        n, S = self.n, self.S
+        height, parent_edge, lowpt = self.height, self.parent_edge, self.lowpt
+        ordered_adjs, stack_bottom = self.ordered_adjs, self.stack_bottom
+        lowpt_edge = self.lowpt_edge
+        ind = [0] * n  # as in _orient
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            adjs = ordered_adjs[v]
+            i = ind[v]
+            resume = i < 0
+            if resume:
+                i = ~i
+            while i < len(adjs):
+                w = adjs[i]
+                ei = v * n + w
+                if resume:
+                    resume = False
+                else:
+                    stack_bottom[ei] = S[-1] if S else None
+                    if ei == parent_edge[w]:  # a tree edge
+                        ind[v] = ~i
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei  # a back edge
+                    S.append([-1, -1, ei, ei])
+                # integrate new return edges
+                if lowpt[ei] < hv:
+                    if i == 0:  # ei has a return edge
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not self._add_constraints(ei, e):
+                        return False
+                i += 1
+            else:
+                if e != -1:  # v is not a root
+                    self._remove_back_edges(e)
+        return True
+
+    def _add_constraints(self, ei, e) -> bool:
+        """networkx's ``add_constraints``: merge the conflict pairs of
+        ei, a later child edge of e, into one; False iff they cannot be
+        merged, and the graph is not planar."""
+        S, lowpt, ref = self.S, self.lowpt, self.ref
+        P = [-1, -1, -1, -1]
+        # merge the return edges of ei into P's right interval
+        while True:
+            Q = S.pop()
+            if Q[0] != -1 or Q[1] != -1:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] != -1 or Q[1] != -1:
+                return False  # not planar
+            if lowpt[Q[2]] > lowpt[e]:  # merge intervals
+                if P[2] == -1 and P[3] == -1:  # topmost interval
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = self.lowpt_edge[e]
+            if (S[-1] if S else None) is self.stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of e1, ..., ei-1 into P's left
+        while (_conflicting(S[-1][0], S[-1][1], ei, lowpt)
+               or _conflicting(S[-1][2], S[-1][3], ei, lowpt)):
+            Q = S.pop()
+            if _conflicting(Q[2], Q[3], ei, lowpt):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if _conflicting(Q[2], Q[3], ei, lowpt):
+                return False  # not planar
+            # merge the interval below lowpt(ei) into P's right
+            ref[P[2]] = Q[3]
+            if Q[2] != -1:
+                P[2] = Q[2]
+            if P[0] == -1 and P[1] == -1:  # topmost interval
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [-1, -1, -1, -1]:
+            S.append(P)
+        return True
+
+    def _remove_back_edges(self, e):
+        """networkx's ``remove_back_edges``: once the tree edge e is done,
+        trim the return edges that end at its tail, and give e the
+        reference edge that decides its side."""
+        n, S, lowpt, ref, side = self.n, self.S, self.lowpt, self.ref, self.side
+        u = e // n
+        hu = self.height[u]
+        # trim the back edges ending at u: drop whole conflict pairs
+        while S and _lowest(S[-1], lowpt) == hu:
+            P = S.pop()
+            if P[0] != -1:
+                side[P[0]] = -1
+        if S:  # one more conflict pair to consider
+            P = S[-1]
+            # trim the left interval
+            while P[1] != -1 and P[1] % n == u:
+                P[1] = ref[P[1]]
+            if P[1] == -1 and P[0] != -1:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            # trim the right interval
+            while P[3] != -1 and P[3] % n == u:
+                P[3] = ref[P[3]]
+            if P[3] == -1 and P[2] != -1:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
+        # the side of e is the side of a highest return edge
+        if lowpt[e] < hu:  # e has a return edge
+            hl, hr = S[-1][1], S[-1][3]
+            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    def _sign(self, e) -> int:
+        """Resolve the side of e, relative to its reference edge, to an
+        absolute side."""
+        ref, side = self.ref, self.side
+        if ref[e] != -1:
+            side[e] *= self._sign(ref[e])
+            ref[e] = -1
+        return side[e]
+
+    def _embed_from(self, root):
+        """networkx's ``dfs_embedding``: add the half-edge back along each
+        tree edge and each back edge, on the side the test chose."""
+        n, side, parent_edge = self.n, self.side, self.parent_edge
+        ordered_adjs, leftmost = self.ordered_adjs, self.leftmost
+        left_ref, right_ref = [-1] * n, [-1] * n
+        ind = [0] * n
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            adjs = ordered_adjs[v]
+            while ind[v] < len(adjs):
+                w = adjs[ind[v]]
+                ind[v] += 1
+                ei = v * n + w
+                if ei == parent_edge[w]:  # a tree edge
+                    self._add_half_edge(w, v, cw=leftmost[w])
+                    left_ref[v] = right_ref[v] = w
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:  # a back edge
+                    self._add_half_edge(w, v, ccw=right_ref[w])
+                else:
+                    self._add_half_edge(w, v, cw=left_ref[w])
+                    left_ref[w] = v
+
+    def _add_half_edge(self, start, end, cw=-1, ccw=-1):
+        """networkx's ``PlanarEmbedding.add_half_edge``: put end next to
+        cw, counterclockwise, or next to ccw, clockwise, in start's
+        rotation.  The leftmost neighbour becomes end when start had none
+        or when cw was the leftmost; otherwise it stays."""
+        base = start * self.n
+        cws, ccws, leftmost = self.cw, self.ccw, self.leftmost
+        if leftmost[start] == -1:  # the first half-edge out of start
+            cws[base + end] = ccws[base + end] = end
+            leftmost[start] = end
+        elif cw != -1:
+            ref_ccw = ccws[base + cw]
+            cws[base + end], ccws[base + end] = cw, ref_ccw
+            cws[base + ref_ccw] = end
+            ccws[base + cw] = end
+            if cw == leftmost[start]:
+                leftmost[start] = end
+        else:
+            ref_cw = cws[base + ccw]
+            cws[base + end], ccws[base + end] = ref_cw, ccw
+            ccws[base + ref_cw] = end
+            cws[base + ccw] = end
+
+
+def _conflicting(low, high, b, lowpt) -> bool:
+    """True iff the interval [low, high] conflicts with the edge b."""
+    return (low != -1 or high != -1) and lowpt[high] > lowpt[b]
+
+
+def _lowest(P, lowpt) -> int:
+    """The lowest lowpoint of the conflict pair P."""
+    if P[0] == -1 and P[1] == -1:
+        return lowpt[P[2]]
+    if P[2] == -1 and P[3] == -1:
+        return lowpt[P[0]]
+    return min(lowpt[P[0]], lowpt[P[2]])
 
 
 # -- triangle cover ------------------------------------------------------

@@ -2,17 +2,22 @@
 
 Nothing in planram calls these; they build test graphs, check witnesses
 and results by brute force or by replaying them, and stay small enough
-to audit by eye.
+to audit by eye.  They test planarity with networkx, never with the
+package's own test.
 """
 
 import gc
+from functools import cache
 from itertools import combinations, permutations
 from unittest import mock
 
+import networkx as nx
+
 from planram import enumeration, errors
+from planram.canon import canonical_form
 from planram.construct import apply_op, resolve_seed
 from planram.graphs import Graph, bits, contains_c4
-from planram.planarity import PlaneEmbedding, is_planar
+from planram.planarity import PlaneEmbedding
 
 
 def cyclic_garbage(call, times: int = 100) -> int:
@@ -133,6 +138,28 @@ def operation_b_inverse(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedd
     return merged
 
 
+def to_networkx(g: Graph) -> nx.Graph:
+    """g as a networkx graph whose adjacency lists are in ascending order."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def networkx_is_planar(g: Graph) -> bool:
+    return nx.is_planar(to_networkx(g))
+
+
+def networkx_rotation(g: Graph):
+    """networkx's clockwise rotation system of g, or None when g is not
+    planar."""
+    planar, emb = nx.check_planarity(to_networkx(g))
+    if not planar:
+        return None
+    return tuple(tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
+                 for v in range(g.n))
+
+
 def maximal_c4free_planar(g: Graph) -> bool:
     """True iff every non-edge of the C4-free planar graph g gives a child
     that contains a C4 or is not planar."""
@@ -140,9 +167,29 @@ def maximal_c4free_planar(g: Graph) -> bool:
         if g.has_edge(u, v):
             continue
         child = g.add_edge(u, v)
-        if not contains_c4(child) and is_planar(child):
+        if not contains_c4(child) and networkx_is_planar(child):
             return False
     return True
+
+
+@cache
+def brute_force_triangulation_count(n: int) -> int:
+    """The classes of simple triangulations of order n, found among all
+    graphs with n vertices and 3n - 6 edges."""
+    target = 3 * n - 6
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    for combo in combinations(range(len(pairs)), target):
+        g = Graph.from_edges(n, [pairs[i] for i in combo])
+        if g.min_degree() < 3 or not g.is_connected():
+            continue
+        rotation = networkx_rotation(g)
+        if rotation is None:
+            continue
+        if any(len(f) != 3 for f in reference_faces(rotation)):
+            continue
+        seen.add(canonical_form(g).form)
+    return len(seen)
 
 
 def reference_faces(rotation):

@@ -38,7 +38,7 @@ from planram.planarity import (
     is_planar,
 )
 
-from oracles import operation_b_inverse
+from oracles import brute_force_triangulation_count, operation_b_inverse
 
 LONG_RUNNING = bool(os.environ.get("PLANRAM_LONG_RUNNING"))
 
@@ -135,8 +135,6 @@ def test_criterion_3_triangulation_census():
         EnumerationTask(n=n, mode="triangulation")) for n in range(4, 10)}
     counts = {n: len(r.graphs) for n, r in results.items()}
     # independent oracle: brute force over all edge subsets (n <= 7)
-    from test_enumeration import brute_force_triangulation_count
-
     brute = {n: brute_force_triangulation_count(n) for n in range(4, 8)}
     # no class is output twice at 8 and 9: the canonical forms recomputed
     # from the graphs are pairwise distinct and are the stored forms

@@ -8,6 +8,9 @@ must audit.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import planram
@@ -112,10 +115,11 @@ def test_only_the_generators_skip_graph_validation():
         "enumeration._c4free_children", "enumeration._split_vertex"}
 
 
-def test_only_planarity_imports_networkx():
-    # networkx tests planarity, embeds graph6 input and draws the C4-free
-    # children whose new edge no face of the parent's rotation holds; any
-    # other embedding path fails here
+def test_no_package_module_imports_networkx():
+    # the package tests planarity itself, embeds graph6 input and draws
+    # the C4-free children whose new edge no face of the parent's rotation
+    # holds; networkx is only the tests' and the benchmark's independent
+    # check.  Any other embedding path fails here
     assert callers("embed") == {"cli._read_inputs"}
     assert callers("rotation_system") == {
         "planarity.embed", "enumeration._c4free_children"}
@@ -130,7 +134,18 @@ def test_only_planarity_imports_networkx():
                 continue
             if any(m.split(".")[0] == "networkx" for m in modules):
                 importers.append(path.stem)
-    assert importers == ["planarity"]
+    assert importers == []
+    # nor does a dependency load it when the CLI starts
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, planram.cli, planram.enumeration, planram.ramsey; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'networkx'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_walks_is_the_one_face_tracer():

@@ -23,7 +23,7 @@ from planram.formats import to_planar_code
 from planram.graphs import contains_c4, contains_wheel
 from planram.planarity import edge_identity_residual, is_planar, walks
 
-from oracles import operation_b_inverse, replay
+from oracles import cyclic_garbage, operation_b_inverse, replay
 
 
 def test_all_seeds_load_and_pass_firewall():
@@ -182,6 +182,10 @@ def test_delta_witnesses_are_pinned():
         h.update(repr((n, trace.seed, trace.ops)).encode())
         h.update(to_planar_code([trace.embedding.rotation]))
     assert h.hexdigest() == WITNESS_SHA256
+
+
+def test_schedule_search_leaves_no_reference_cycle():
+    assert cyclic_garbage(lambda: build_delta_witness(12), times=10) == 0
 
 
 def test_trace_replay_is_deterministic():

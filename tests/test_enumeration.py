@@ -29,12 +29,17 @@ from planram.graphs import Graph, adding_edge_creates_c4, bits, contains_c4
 from planram.planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
-    embed,
     is_planar,
     walks,
 )
 
-from oracles import maximal_c4free_planar, recorded_search, triangulation_check
+from oracles import (
+    brute_force_triangulation_count,
+    maximal_c4free_planar,
+    networkx_is_planar,
+    recorded_search,
+    triangulation_check,
+)
 
 # class counts frozen after oracle validation (brute force below re-derives
 # the first six; the larger ones are pinned for regression)
@@ -79,7 +84,7 @@ def count(n, **kw):
 def test_counts_match_brute_force_small():
     for n in range(1, 6):
         oracle = all_graphs_up_to_iso(
-            n, lambda g: not contains_c4(g) and is_planar(g))
+            n, lambda g: not contains_c4(g) and networkx_is_planar(g))
         assert count(n) == oracle == C4FREE_PLANAR_COUNTS[n - 1]
 
 
@@ -437,23 +442,6 @@ def test_budget_exhaustion_raises():
     with pytest.raises(errors.InfeasibleScale):
         enumerate_c4free_planar(
             EnumerationTask(n=9, mode="c4free_planar"), budget_nodes=10)
-
-
-def brute_force_triangulation_count(n):
-    target = 3 * n - 6
-    pairs = list(itertools.combinations(range(n), 2))
-    seen = set()
-    for combo in itertools.combinations(range(len(pairs)), target):
-        g = Graph.from_edges(n, [pairs[i] for i in combo])
-        if g.min_degree() < 3 or not g.is_connected():
-            continue
-        if not is_planar(g):
-            continue
-        e = embed(g)
-        if any(len(f) != 3 for f in e.faces):
-            continue
-        seen.add(canonical_form(g).form)
-    return len(seen)
 
 
 def tri_count(n, min_degree=0):

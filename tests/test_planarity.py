@@ -1,5 +1,9 @@
 """Embeddings, faces, the triangle-edge identity, and duals."""
 
+import itertools
+import random
+from unittest import mock
+
 import pytest
 
 from planram import errors
@@ -17,7 +21,144 @@ from planram.planarity import (
     walks,
 )
 
-from oracles import path, recorded_search, reference_faces, wheel
+from oracles import (
+    networkx_rotation,
+    path,
+    recorded_search,
+    reference_faces,
+    wheel,
+)
+
+
+def agrees_with_networkx(g: Graph) -> bool:
+    """Assert that the left-right port gives networkx's verdict and, when
+    g is planar, networkx's rotation, and that the rotation is plane;
+    returns the verdict."""
+    expected = networkx_rotation(g)
+    assert is_planar(g) == (expected is not None), g.adj
+    if expected is None:
+        with pytest.raises(errors.NotPlanar):
+            rotation_system(g)
+        return False
+    rotation = rotation_system(g)
+    assert rotation == expected, g.adj
+    if g.is_connected():
+        PlaneEmbedding(g, rotation)
+    else:
+        # V - E + F = 2 per component: no component sums below 2
+        cofacial_masks(rotation)
+    return True
+
+
+def subdivided(g: Graph, times: int) -> Graph:
+    """g with each edge replaced by a path of times + 1 edges."""
+    edges, n = [], g.n
+    for u, v in g.edges():
+        inner = list(range(n, n + times))
+        n += times
+        walk = [u, *inner, v]
+        edges += zip(walk, walk[1:])
+    return Graph.from_edges(n, edges)
+
+
+K33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+def test_port_matches_networkx_on_every_small_graph():
+    verdicts = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((0, 1), repeat=len(pairs)):
+            g = Graph.from_edges(n, itertools.compress(pairs, chosen))
+            verdicts.append(agrees_with_networkx(g))
+    # K5 is the one non-planar labelled graph on at most 5 vertices
+    assert len(verdicts) == 1 + 1 + 2 + 8 + 64 + 1024
+    assert verdicts.count(False) == 1
+
+
+def test_port_matches_networkx_on_random_graphs():
+    rng = random.Random(20260419)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(6, 30)
+        pairs = list(itertools.combinations(range(n), 2))
+        m = rng.randint(n - 1, min(len(pairs), 3 * n - 6))
+        verdicts.append(agrees_with_networkx(
+            Graph.from_edges(n, rng.sample(pairs, m))))
+    assert 100 < verdicts.count(True) < 500
+
+
+def test_port_matches_networkx_on_non_cofacial_children():
+    # the children the C4-free search embeds from scratch, since the new
+    # edge's ends share no face of the parent's rotation
+    from planram import enumeration
+    from planram.enumeration import EnumerationTask, enumerate_c4free_planar
+
+    children = []
+
+    def recording(g):
+        children.append(g)
+        return rotation_system(g)
+
+    with mock.patch.object(enumeration, "rotation_system", recording):
+        for n in range(1, 10):
+            enumerate_c4free_planar(EnumerationTask(n=n, mode="c4free_planar"))
+    verdicts = [agrees_with_networkx(g) for g in children]
+    # the search asks about planar and non-planar children alike
+    assert True in verdicts and False in verdicts
+
+
+def test_port_matches_networkx_on_kuratowski_graphs():
+    for g in (Graph.complete(5), K33):
+        for times in (1, 2):
+            assert not agrees_with_networkx(subdivided(g, times))
+        for isolated in (1, 3):
+            h = Graph(g.n + isolated, g.adj + (0,) * isolated)
+            assert not agrees_with_networkx(h)
+        # one edge fewer is planar
+        u, v = next(g.edges())
+        rows = list(g.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        assert agrees_with_networkx(Graph(g.n, tuple(rows)))
+
+
+def test_port_matches_networkx_on_disconnected_graphs():
+    # K4 + C5 + an isolated vertex + a path, and two wheels side by side
+    parts = [Graph.complete(4), Graph.cycle(5), Graph.empty(1), path(4),
+             wheel(5), wheel(6)]
+    rows, offset = [], 0
+    for part in parts:
+        rows += [row << offset for row in part.adj]
+        offset += part.n
+    g = Graph(offset, tuple(rows))
+    assert not g.is_connected() and agrees_with_networkx(g)
+    assert agrees_with_networkx(Graph.empty(7))
+    # a disconnected graph with one non-planar component is not planar
+    k5 = Graph.complete(5)
+    assert not agrees_with_networkx(
+        Graph(9, Graph.cycle(4).adj + tuple(r << 4 for r in k5.adj)))
+
+
+def test_port_matches_networkx_on_seeds_and_witnesses():
+    from planram.construct import (
+        SEED_NAMES,
+        build_delta_witness,
+        build_ramsey_lower_witness,
+        load_seed,
+    )
+
+    graphs = [load_seed(name).base for name in SEED_NAMES]
+    graphs += [build_delta_witness(n).embedding.base for n in range(5, 65)]
+    graphs += [build_ramsey_lower_witness(m).base for m in range(3, 12)]
+    assert max(g.n for g in graphs) == 64
+    assert all(agrees_with_networkx(g) for g in graphs)
+    # the largest witnesses plus one edge, planar or not
+    rng = random.Random(64)
+    for g in graphs[-20:]:
+        u, v = rng.sample(range(g.n), 2)
+        if not g.has_edge(u, v):
+            agrees_with_networkx(g.add_edge(u, v))
 
 
 def test_is_planar():
