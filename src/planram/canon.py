@@ -28,7 +28,8 @@ class CanonicalForm:
     form: bytes
     permutation: tuple[int, ...]  # old label -> canonical label
     # colour-preserving automorphisms found by the search (old -> new
-    # label); not necessarily generators of the whole group
+    # label), each once, in the order met; not necessarily generators of
+    # the whole group
     automorphisms: tuple[tuple[int, ...], ...]
 
 
@@ -145,16 +146,16 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
     else:
         initial = [(1 << n) - 1]
     best: list = [None, None, None]  # key, permutation, order
-    automorphisms: list = []
+    automorphisms: dict = {}  # an ordered set: each once, as first met
     _descend(g, _refine(g.adj, initial), best, automorphisms)
     return CanonicalForm(_serialization(n, best[0]), best[1],
                          tuple(automorphisms))
 
 
-def _descend(g: Graph, cells, best: list, automorphisms: list) -> None:
+def _descend(g: Graph, cells, best: list, automorphisms: dict) -> None:
     """Search the leaves below the equitable partition cells: keep the
-    smallest leaf in best as [key, permutation, order], and append the
-    automorphisms met on the way to automorphisms."""
+    smallest leaf in best as [key, permutation, order], and add the
+    automorphisms met on the way to the keys of automorphisms."""
     adj = g.adj
     for idx, cell in enumerate(cells):
         if cell & (cell - 1):
@@ -165,7 +166,7 @@ def _descend(g: Graph, cells, best: list, automorphisms: list) -> None:
                     # v's branch is twin's with the two swapped
                     swap = list(range(g.n))
                     swap[twin], swap[v] = v, twin
-                    automorphisms.append(tuple(swap))
+                    automorphisms[tuple(swap)] = None
                     continue
                 tried.append(v)
                 rest = cell & ~(1 << v)
@@ -182,7 +183,7 @@ def _descend(g: Graph, cells, best: list, automorphisms: list) -> None:
         best[:] = key, perm, order
     elif key == best[0]:
         # both leaves relabel g to the same graph
-        automorphisms.append(tuple(best[2][p] for p in perm))
+        automorphisms[tuple(best[2][p] for p in perm)] = None
 
 
 def _twins(adj, u, v):

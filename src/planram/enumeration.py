@@ -16,7 +16,18 @@ with xy marked and the graph with x'y' marked.  So the rivals in uv's
 orbit are skipped, and one marked form stands for each further orbit.
 The automorphisms may generate only part of the group; then an orbit
 splits into several, each costing a marked form, and the verdict is
-unchanged.  Two augmentation rules feed it:
+unchanged.
+
+Each state travels with those automorphisms, and its children are built
+by McKay's per-parent orbit rule: of each orbit of the automorphisms on
+the candidates, only the first, in candidate order, is built.  Every
+filter applied before a child is built is isomorphism-invariant, so the
+candidates are closed under the automorphisms; candidates in one orbit
+give isomorphic children with the same canonicity verdict, so the first
+of each class is still the child kept, with the same rotation, and the
+output keeps its bytes.  An orbit that a partial group splits leaves
+isomorphic siblings, which the dedup drops.  Two augmentation rules
+feed the search:
 
 * C4-free planar graphs of a given order, by edge augmentation from the
   empty graph with rotation systems maintained throughout; the invariant
@@ -155,33 +166,41 @@ def _search(roots, visit):
     """The canonical-construction-path search both generators share.
 
     States are tuples whose first item is the graph.  The tree is walked
-    breadth first from roots; ``visit(state)`` returns whether the
-    state is output and an iterable of (canonical form, state) pairs, its
-    canonical children, of which those with the same form as an earlier
-    child of the same parent are dropped.  Returns (form, state) pairs
-    sorted by canonical form.
+    breadth first from roots, and each state travels with its canonical
+    form and the automorphisms that form's search met.
+    ``visit(state, automorphisms)`` returns whether the state is output
+    and an iterable of (``CanonicalForm``, state) pairs, its canonical
+    children.  It builds one child per orbit of the automorphisms on its
+    candidates (McKay's per-parent orbit rule), so with the whole group
+    no two children are isomorphic; when the automorphisms generate only
+    part of it, an orbit splits, and a child with the same form as an
+    earlier child of the same parent is dropped.  Returns (form, state)
+    pairs sorted by canonical form.
     """
     out = []
-    frontier = [(canonical_form(s[0]).form, s) for s in roots]
+    frontier = []
+    for root in roots:
+        cf = canonical_form(root[0])
+        frontier.append((cf.form, cf.automorphisms, root))
     while frontier:
         nxt = []
-        for form, state in frontier:
-            emit, children = visit(state)
+        for form, automorphisms, state in frontier:
+            emit, children = visit(state, automorphisms)
             if emit:
                 out.append((form, state))
             seen = set()
-            for child_form, child in children:
-                if child_form in seen:
+            for cf, child in children:
+                if cf.form in seen:
                     continue
-                seen.add(child_form)
-                nxt.append((child_form, child))
+                seen.add(cf.form)
+                nxt.append((cf.form, cf.automorphisms, child))
         frontier = nxt
     out.sort(key=itemgetter(0))
     return out
 
 
 def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
-    """g's canonical form if the edge uv (u < v, one of edges) is
+    """g's ``CanonicalForm`` if the edge uv (u < v, one of edges) is
     canonical in g, else None.
 
     uv is canonical iff it has the least invariant among edges and, among
@@ -205,8 +224,8 @@ def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
             tied.append((x, y))
     cf = canonical_form(g)
     if len(tied) == 1:
-        return cf.form
-    orbit = _edge_orbits(cf.automorphisms, tied)
+        return cf
+    orbit = _orbits(cf.automorphisms, tied)
     mine = None
     for k in range(1, len(tied)):
         if orbit[k] != k:
@@ -215,15 +234,22 @@ def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
             mine = marked_pair_form(g, u, v)
         if marked_pair_form(g, *tied[k]) < mine:
             return None
-    return cf.form
+    return cf
 
 
-def _edge_orbits(automorphisms, edges):
-    """For each edge, the index of the first edge of its orbit under the
-    group the automorphisms generate; edges (x < y) must be closed under
-    them, as the edges of one isomorphism invariant are."""
-    index = {e: k for k, e in enumerate(edges)}
-    root = list(range(len(edges)))
+def _orbits(automorphisms, items):
+    """For each item, the index of the first item of its orbit under the
+    group the automorphisms generate.
+
+    An item is a tuple of vertices whose last two are an unordered pair:
+    an edge (x, y), or a vertex split (w, a, b) of w at its neighbours a
+    and b.  items must be closed under the automorphisms, as the items one
+    isomorphism-invariant rule selects are.
+    """
+    index = {}
+    for k, item in enumerate(items):
+        index[item] = index[(*item[:-2], item[-1], item[-2])] = k
+    root = list(range(len(items)))
 
     def find(k):
         while root[k] != k:
@@ -231,12 +257,12 @@ def _edge_orbits(automorphisms, edges):
         return k
 
     for perm in automorphisms:
-        for k, (x, y) in enumerate(edges):
-            a, b = perm[x], perm[y]
-            i, j = find(k), find(index[(a, b) if a < b else (b, a)])
+        image = perm.__getitem__
+        for k, item in enumerate(items):
+            i, j = find(k), find(index[tuple(map(image, item))])
             if i != j:
                 root[max(i, j)] = min(i, j)
-    return [find(k) for k in range(len(edges))]
+    return [find(k) for k in range(len(items))]
 
 
 # -- C4-free planar graphs ------------------------------------------------
@@ -262,7 +288,7 @@ def enumerate_c4free_planar(
     cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
     t = task.min_degree
 
-    def visit(state):
+    def visit(state, automorphisms):
         g, rot = state
         # rot's face walks and cofacial masks, traced on first use, then
         # shared by the maximality test and the expansion of g
@@ -271,7 +297,8 @@ def enumerate_c4free_planar(
             not task.maximal_only or is_maximal_c4free_planar(g, traced()[1]))
         if g.edge_count == cap:
             return emit, ()
-        return emit, _c4free_children(g, rot, traced, cap, t, budget)
+        return emit, _c4free_children(g, rot, automorphisms, traced, cap, t,
+                                      budget)
 
     # an edge repairs at most 2 units of min-degree deficiency
     roots = [] if n * t > 2 * cap else [(Graph.empty(n), ((),) * n)]
@@ -287,13 +314,15 @@ def _faces_and_masks(rotation):
     return faces, cofacial_masks(rotation, faces)
 
 
-def _c4free_children(g, rot, traced, cap, t, budget):
+def _c4free_children(g, rot, automorphisms, traced, cap, t, budget):
     """The canonical planar children g + uv of the C4-free planar graph g
     with rotation rot, in candidate order, with their rotations.
 
-    Only candidates that ``_open_edges`` leaves open are built; each built
-    child is kept, with its canonical form, iff uv is canonical in it and
-    it is planar.  traced() gives rot's face ``walks`` and cofacial masks.
+    Of the candidates that ``_open_edges`` leaves open, only the first of
+    each orbit of g's automorphisms is built: the others give isomorphic
+    children with the same verdict.  Each built child is kept, with its
+    canonical form, iff uv is canonical in it and it is planar.  traced()
+    gives rot's face ``walks`` and cofacial masks.
     A cofacial uv (on a common face of rot, or in different components)
     gives a planar child, whose rotation inserts v at u's corner of that
     face and u at v's; only the other children go to the left-right
@@ -301,13 +330,17 @@ def _c4free_children(g, rot, traced, cap, t, budget):
     rotation.
     """
     n, adj = g.n, g.adj
-    for u, v in _open_edges(g, cap, t, budget):
+    candidates = list(_open_edges(g, cap, t, budget))
+    first = _orbits(automorphisms, candidates)
+    for k, (u, v) in enumerate(candidates):
+        if first[k] != k:
+            continue
         rows = list(adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         child = Graph._trusted(n, tuple(rows))
-        form = _form_if_canonical(child, u, v, child.edges(), _edge_invariant)
-        if form is None:
+        cf = _form_if_canonical(child, u, v, child.edges(), _edge_invariant)
+        if cf is None:
             continue
         faces, masks = traced()
         if masks[u] >> v & 1:
@@ -317,7 +350,7 @@ def _c4free_children(g, rot, traced, cap, t, budget):
                 child_rot = rotation_system(child)
             except errors.NotPlanar:
                 continue
-        yield form, (child, child_rot)
+        yield cf, (child, child_rot)
 
 
 def _open_edges(g, cap, t, budget):
@@ -504,11 +537,12 @@ def enumerate_triangulations(
     budget = _Budget(budget_nodes)
     prune5 = task.min_degree == 5
 
-    def visit(state):
+    def visit(state, automorphisms):
         g, rot = state
         if g.n == n_target:
             return g.min_degree() >= task.min_degree, ()
-        return False, _children(g, rot, n_target, prune5, budget)
+        return False, _children(g, rot, automorphisms, n_target, prune5,
+                                budget)
 
     out = _search([_k4_embedding()], visit)
     # children are built unvalidated; the classes leave validated
@@ -518,22 +552,32 @@ def enumerate_triangulations(
         budget.nodes)
 
 
-def _children(g, rot, n_target, prune5, budget):
+def _children(g, rot, automorphisms, n_target, prune5, budget):
     """The canonical vertex splits of the triangulation g, in split order.
 
-    Only splits that ``_open_splits`` leaves open are built; each built
-    child is kept, with its canonical form, iff its created edge is
-    canonical.
+    Of the splits that ``_open_splits`` leaves open, only the first of
+    each orbit of g's automorphisms is built.  A split of w at
+    a = rot[w][i] and b = rot[w][j] is named by w and {a, b}.  A
+    triangulation has one embedding up to reflection, so an automorphism
+    s maps rot to itself or to its mirror image; either way it carries
+    the split to the split of s(w) at s(a) and s(b), whose child is
+    isomorphic.  Each built child is kept, with its canonical form, iff
+    its created edge is canonical.
     """
     n = g.n
-    for w, i, j in _open_splits(g, rot, n_target, prune5, budget):
+    splits = list(_open_splits(g, rot, n_target, prune5, budget))
+    first = _orbits(automorphisms,
+                    [(w, rot[w][i], rot[w][j]) for w, i, j in splits])
+    for k, (w, i, j) in enumerate(splits):
+        if first[k] != k:
+            continue
         child, child_rot = _split_vertex(g, rot, w, i, j)
         # the new edge (w, n) has exactly the two common neighbours
         # rot_w[i] and rot_w[j], so it is contractible
-        form = _form_if_canonical(child, w, n, _contractible_edges(child),
-                                  _contraction_invariant)
-        if form is not None:
-            yield form, (child, child_rot)
+        cf = _form_if_canonical(child, w, n, _contractible_edges(child),
+                                _contraction_invariant)
+        if cf is not None:
+            yield cf, (child, child_rot)
 
 
 def _open_splits(g, rot, n_target, prune5, budget):

@@ -291,10 +291,23 @@ def check_fact(
 
 def _three_connected(g: Graph) -> bool:
     """True iff g has at least four vertices and no set of at most two
-    vertices disconnects it, that is iff ``graphs.connectivity(g) > 2``."""
+    vertices disconnects it, that is iff ``graphs.connectivity(g) > 2``.
+
+    A minimum degree of at least (n + 1) / 2 settles it without the cut
+    scan: once any two vertices are removed, two non-adjacent vertices
+    left have at least n - 3 neighbours in total among the other n - 4,
+    so they share one.
+    """
     n = g.n
     if n < 4:
         return False
+    return 2 * g.min_degree() >= n + 1 or not _has_small_cut(g)
+
+
+def _has_small_cut(g: Graph) -> bool:
+    """True iff g is disconnected or one or two of its vertices
+    disconnect it; g has at least four vertices."""
+    n = g.n
     full = (1 << n) - 1
     cuts = [0, *(1 << x for x in range(n)),
             *((1 << x) | (1 << y) for x, y in combinations(range(n), 2))]
@@ -302,8 +315,8 @@ def _three_connected(g: Graph) -> bool:
         rest = full & ~cut
         start = (rest & -rest).bit_length() - 1
         if g.component_mask(start, forbidden=cut) != rest:
-            return False
-    return True
+            return True
+    return False
 
 
 def _contains_k4(g: Graph) -> bool:

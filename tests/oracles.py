@@ -7,6 +7,7 @@ package's own test.
 """
 
 import gc
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from unittest import mock
@@ -226,29 +227,43 @@ def triangulation_check(g: Graph, rotation) -> None:
         raise errors.NotPlanar("non-triangular face")
 
 
-def recorded_search(task):
-    """Run the search of task, C4-free or triangulation.  Returns its
-    result, the (graph, rotation) state of every node it visits and every
-    child it builds, that is every graph handed to the canonicity test."""
-    states, built = [], []
+@dataclass
+class Recording:
+    result: enumeration.EnumerationResult
+    states: list  # the (graph, rotation) state of every node visited
+    automorphisms: list  # the automorphisms the search hands each state
+    built: list  # every graph handed to the canonicity test
+    duplicates: int  # children the per-parent dedup dropped
+
+
+def recorded_search(task) -> Recording:
+    """Run the search of task, C4-free or triangulation, and record every
+    node it visits, with its automorphisms, every child it builds and how
+    many children it drops as duplicates of a sibling."""
+    record = Recording(None, [], [], [], 0)
     search, form_if_canonical = (enumeration._search,
                                  enumeration._form_if_canonical)
 
     def recording_search(roots, visit):
-        def recorded(state):
-            states.append(state)
-            return visit(state)
+        def recorded(state, automorphisms):
+            record.states.append(state)
+            record.automorphisms.append(automorphisms)
+            emit, children = visit(state, automorphisms)
+            children = list(children)
+            forms = {cf.form for cf, _ in children}
+            record.duplicates += len(children) - len(forms)
+            return emit, children
         return search(roots, recorded)
 
     def recording_form(g, *args):
-        built.append(g)
+        record.built.append(g)
         return form_if_canonical(g, *args)
 
     with mock.patch.object(enumeration, "_search", recording_search), \
             mock.patch.object(enumeration, "_form_if_canonical",
                               recording_form):
         if task.mode == "triangulation":
-            result = enumeration.enumerate_triangulations(task)
+            record.result = enumeration.enumerate_triangulations(task)
         else:
-            result = enumeration.enumerate_c4free_planar(task)
-    return result, states, built
+            record.result = enumeration.enumerate_c4free_planar(task)
+    return record

@@ -171,6 +171,10 @@ def test_search_finds_automorphisms_of_symmetric_graphs():
     assert canonical_form(Graph.cycle(6)).automorphisms
     star = Graph.from_edges(5, [(0, v) for v in range(1, 5)])
     assert (0, 2, 1, 3, 4) in canonical_form(star).automorphisms
+    # each once, in the order met: the search meets two of these twice
+    matching = Graph.from_edges(4, [(0, 3), (1, 2)])
+    assert canonical_form(matching).automorphisms == (
+        (0, 2, 1, 3), (1, 0, 3, 2), (3, 1, 2, 0))
 
 
 @st.composite
@@ -218,8 +222,9 @@ def test_canon_oracle(case):
             marked_pair_form(h, perm[u], perm[v])
     # the permutation certifies the form
     assert serialize(relabel(g, cf.permutation)) == cf.form
-    # every reported automorphism is one, and keeps colours
+    # every reported automorphism is one, reported once, and keeps colours
     colour = [colors.get(x, 0) if colors else 0 for x in range(g.n)]
+    assert len(set(cf.automorphisms)) == len(cf.automorphisms)
     for auto in cf.automorphisms:
         assert sorted(auto) == list(range(g.n))
         assert relabel(g, auto).adj == g.adj

@@ -225,11 +225,11 @@ def test_edge_canonicity_matches_full_rule():
                 assert (r1 == r2) == (i1 == i2) and i1 <= i2
             best = ranked[0][0]
             canonical = full_canonical_edges(child, edges, reference)
-            child_form = canonical_form(child).form
+            child_form = canonical_form(child)
             for x, y in edges:
-                form = _form_if_canonical(child, x, y, edges, invariant)
-                assert form in (None, child_form)
-                verdict = form is not None
+                cf = _form_if_canonical(child, x, y, edges, invariant)
+                assert cf in (None, child_form)
+                verdict = cf is not None
                 assert verdict == ((x, y) in canonical)
                 minimal = reference(child, x, y) == best
                 outcomes.add((minimal, verdict))
@@ -288,8 +288,8 @@ def test_c4free_lookahead_rejects_only_noncanonical_children():
 
 def test_every_c4free_state_carries_a_plane_rotation():
     for n in range(1, 9):
-        _, states, _ = recorded_search(
-            EnumerationTask(n=n, mode="c4free_planar"))
+        states = recorded_search(
+            EnumerationTask(n=n, mode="c4free_planar")).states
         for g, rot in states:
             for v in range(n):
                 assert sorted(rot[v]) == list(bits(g.adj[v])), (g, rot)
@@ -304,37 +304,85 @@ def test_every_c4free_state_carries_a_plane_rotation():
                 == 2 * len(components) + isolated, (g, rot)
 
 
+def test_open_candidates_are_closed_under_the_automorphisms():
+    # the orbit rule looks up each candidate's image among the candidates,
+    # so the look-ahead and the prunes must be isomorphism-invariant
+    symmetric = 0
+    for task in [*(EnumerationTask(n=n, mode="c4free_planar")
+                   for n in range(1, 9)),
+                 EnumerationTask(n=10, mode="triangulation"),
+                 EnumerationTask(n=14, mode="triangulation", min_degree=5)]:
+        record = recorded_search(task)
+        n = task.n
+        for (g, rot), automorphisms in zip(record.states,
+                                           record.automorphisms):
+            if task.mode == "c4free_planar":
+                cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
+                if g.edge_count == cap:
+                    continue  # a leaf
+                open_ = {frozenset(e) for e in _open_edges(
+                    g, cap, task.min_degree, _Budget(None))}
+            else:
+                if g.n == n:
+                    continue  # a leaf
+                open_ = {(w, frozenset((rot[w][i], rot[w][j])))
+                         for w, i, j in _open_splits(
+                             g, rot, n, task.min_degree == 5, _Budget(None))}
+            for perm in automorphisms:
+                if task.mode == "c4free_planar":
+                    image = {frozenset(perm[x] for x in e) for e in open_}
+                else:
+                    image = {(perm[w], frozenset(perm[x] for x in pair))
+                             for w, pair in open_}
+                assert image == open_, (g, perm)
+            symmetric += bool(open_ and automorphisms)
+    assert symmetric > 100
+
+
+def test_sibling_dedup_drops_nothing():
+    # on this traffic the automorphisms each state travels with generate
+    # its whole group, so the orbit rule leaves no two isomorphic siblings
+    # and the per-parent dedup, kept for a partial group, drops none
+    tasks = [EnumerationTask(n=n, mode="c4free_planar", maximal_only=m)
+             for n in range(1, 10) for m in (False, True)]
+    tasks += [EnumerationTask(n=12, mode="triangulation"),
+              EnumerationTask(n=14, mode="triangulation", min_degree=5)]
+    for task in tasks:
+        assert recorded_search(task).duplicates == 0, task
+
+
 def test_built_children_and_classes_pass_validation():
     # children are built without Graph's checks; rebuilding each through
     # the validating constructor gives an equal graph
     tasks = [EnumerationTask(n=n, mode="c4free_planar") for n in range(1, 9)]
     tasks += [EnumerationTask(n=n, mode="triangulation") for n in range(4, 10)]
     for task in tasks:
-        result, _, built = recorded_search(task)
-        assert built or task.n <= 4, task
-        for g in (*built, *result.graphs):
+        record = recorded_search(task)
+        assert record.built or task.n <= 4, task
+        for g in (*record.built, *record.result.graphs):
             assert Graph(g.n, g.adj) == g
 
 
 # children built (graphs handed to _form_if_canonical) per C4-free task;
 # outputs and nodes_visited cannot show a look-ahead that stopped
-# rejecting, this count does
+# rejecting, or an orbit rule that stopped skipping, this count does
 CHILDREN_BUILT = [
-    (EnumerationTask(n=8, mode="c4free_planar"), 936),
-    (EnumerationTask(n=9, mode="c4free_planar", maximal_only=True), 3021),
+    (EnumerationTask(n=8, mode="c4free_planar"), 388),
+    (EnumerationTask(n=9, mode="c4free_planar", maximal_only=True), 1432),
 ]
 
 
 def test_c4free_children_built_frozen():
     for task, children in CHILDREN_BUILT:
-        assert len(recorded_search(task)[2]) == children, task
+        assert len(recorded_search(task).built) == children, task
 
 
 # children built (_split_vertex calls) per task; outputs and nodes_visited
-# cannot show a look-ahead that stopped rejecting, this count does
+# cannot show a look-ahead that stopped rejecting, or an orbit rule that
+# stopped skipping, this count does
 SPLITS_BUILT = [
-    (EnumerationTask(n=11, mode="triangulation"), 6427),
-    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 3229),
+    (EnumerationTask(n=11, mode="triangulation"), 4179),
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 1608),
 ]
 
 
@@ -356,8 +404,8 @@ def test_splits_built_frozen(monkeypatch):
 # marked-pair forms the canonicity test computes per task; outputs cannot
 # show an orbit skip that stopped working, this count does
 MARKED_FORMS = [
-    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 789),
-    (EnumerationTask(n=8, mode="c4free_planar"), 242),
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 405),
+    (EnumerationTask(n=8, mode="c4free_planar"), 152),
 ]
 
 

@@ -189,7 +189,7 @@ def test_cofacial_masks_are_sound():
     for n in range(1, 8):
         task = EnumerationTask(n=n, mode="c4free_planar")
         # the rotations the search carries, at every state it visits
-        for g, rot in recorded_search(task)[1]:
+        for g, rot in recorded_search(task).states:
             masks = cofacial_masks(rot)
             for v in range(n):
                 assert not masks[v] >> v & 1

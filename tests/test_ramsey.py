@@ -152,6 +152,20 @@ def test_three_connected_matches_connectivity():
     assert outcomes == {False, True}
 
 
+def test_degree_bound_agrees_with_the_cut_scan():
+    # the minimum-degree test settles some complements before the cut
+    # scan, and never one the scan finds a cut in
+    settled = 0
+    for n in range(4, 9):
+        for g in enumeration.classes(enumeration.EnumerationTask(
+                n=n, mode="c4free_planar")).graphs:
+            comp = g.complement()
+            assert ramsey._three_connected(comp) \
+                == (not ramsey._has_small_cut(comp)), g
+            settled += 2 * comp.min_degree() >= n + 1
+    assert settled > 0
+
+
 def test_contains_k4_matches_independence_of_complement():
     # Lemma 15's predicate, independence number of the complement above
     # 3, asked on g as a clique of four
