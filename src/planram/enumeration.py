@@ -3,10 +3,11 @@
 One canonical-construction-path search (McKay 1998), ``_search``, walks
 the tree breadth first, drops per-parent duplicate children by canonical
 form and returns the output sorted by that form.  A child survives iff
-the element its augmentation created is canonical in it, which
-``_form_if_canonical`` decides from an edge invariant, then marked-pair
-forms among the edges that tie; with the per-parent dedup this gives
-exactly-once emission.
+the edge its augmentation created has the least invariant in it and,
+among the edges that tie it, the least marked-pair form.  One walker,
+``_ties``, over the parent's ranked edges drops a candidate an edge
+beats and finds the others' ties; ``_form_if_canonical`` only breaks
+them.  With the per-parent dedup this gives exactly-once emission.
 
 The tie-break computes the child's canonical form, which the search
 needs anyway, and the automorphisms that form's search met.  Edges in
@@ -33,22 +34,20 @@ feed the search:
   empty graph with rotation systems maintained throughout; the invariant
   ranks every edge of the child.  Each candidate edge uv is filtered
   cheapest-first: non-edge, C4, min-degree deficit and look-ahead on the
-  parent, then canonicity (with the child's canonical form) and
+  parent, then the tie-break (with the child's canonical form) and
   planarity on the child.  Every filter is a predicate of (parent, u, v)
   alone, so the order changes the cost and never the children.  The
-  look-ahead mirrors the triangulations' below: adding uv changes the
-  invariant only of edges at u or v, so the parent's ranked edges tell,
-  before the child is built, whether an edge of the child beats uv's
-  invariant, and a child built that fails the canonicity test has lost
-  a marked-form tie.  Planarity is read off the parent's carried
-  rotation: when u and v share one of its faces (or lie in different
-  components) the new edge is drawn inside that face, which gives the
-  child's rotation in O(deg).  Only the remaining candidates go to the
-  left-right planarity test, for a verdict and, if planar, the child's
-  rotation in one call.  Each class leaves with the rotation it was
-  built with, so no C4-free class is embedded again.  Children are built
-  without ``Graph`` validation; graphs are validated where they enter
-  the program.
+  look-ahead is exact: adding uv changes the invariant only of edges at
+  u or v, so the parent's ranked edges give, before the child is built,
+  the child's edges that beat or tie uv.  Planarity is read off the
+  parent's carried rotation: when u and v share one of its faces (or lie
+  in different components) the new edge is drawn inside that face, which
+  gives the child's rotation in O(deg).  Only the remaining candidates
+  go to the left-right planarity test, for a verdict and, if planar, the
+  child's rotation in one call.  Each class leaves with the rotation it
+  was built with, so no C4-free class is embedded again.  Children are
+  built without ``Graph`` validation; graphs are validated where they
+  enter the program.
 
 * Simple planar triangulations, by vertex splitting from K4 with rotation
   systems maintained throughout.  The reverse operation is contraction of
@@ -60,10 +59,9 @@ feed the search:
   is known from the parent's degrees, and so is the child invariant of
   every contractible edge with an end outside the closed neighbourhood
   of the split vertex, since a split changes only degrees and common
-  neighbours inside that neighbourhood.  A split where such an edge
-  ranks strictly below the created edge is one ``_form_if_canonical``
-  would reject, so skipping it changes neither the children nor their
-  order.
+  neighbours inside that neighbourhood.  The walk skips a split where
+  such an edge ranks below the created edge and gives the others' ties;
+  a built child ranks only its edges inside that neighbourhood.
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
 it runs each task at most once per process, and answers a maximal_only
@@ -162,20 +160,20 @@ class _Budget:
             )
 
 
-def _search(roots, visit):
+def _search(roots, visit, budget):
     """The canonical-construction-path search both generators share.
 
-    States are tuples whose first item is the graph.  The tree is walked
-    breadth first from roots, and each state travels with its canonical
-    form and the automorphisms that form's search met.
-    ``visit(state, automorphisms)`` returns whether the state is output
-    and an iterable of (``CanonicalForm``, state) pairs, its canonical
-    children.  It builds one child per orbit of the automorphisms on its
-    candidates (McKay's per-parent orbit rule), so with the whole group
-    no two children are isomorphic; when the automorphisms generate only
-    part of it, an orbit splits, and a child with the same form as an
-    earlier child of the same parent is dropped.  Returns (form, state)
-    pairs sorted by canonical form.
+    States are (graph, rotation) pairs.  The tree is walked breadth first
+    from roots, and each state travels with its canonical form and the
+    automorphisms that form's search met.  ``visit(state, automorphisms)``
+    returns whether the state is output and an iterable of
+    (``CanonicalForm``, state) pairs, its canonical children.  It builds
+    one child per orbit of the automorphisms on its candidates (McKay's
+    per-parent orbit rule), so with the whole group no two children are
+    isomorphic; when the automorphisms generate only part of it, an orbit
+    splits, and a child with the same form as an earlier child of the same
+    parent is dropped.  Returns the ``EnumerationResult`` of the output,
+    sorted by canonical form, with the nodes budget counted.
     """
     out = []
     frontier = []
@@ -196,32 +194,23 @@ def _search(roots, visit):
                 nxt.append((cf.form, cf.automorphisms, child))
         frontier = nxt
     out.sort(key=itemgetter(0))
-    return out
+    # children are built unvalidated; the classes leave validated
+    return EnumerationResult(tuple(Graph(g.n, g.adj) for _, (g, _) in out),
+                             tuple(r for _, (_, r) in out),
+                             tuple(f for f, _ in out), budget.nodes)
 
 
-def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
-    """g's ``CanonicalForm`` if the edge uv (u < v, one of edges) is
-    canonical in g, else None.
+def _form_if_canonical(g: Graph, tied):
+    """g's ``CanonicalForm`` if the created edge tied[0] has the least
+    marked-pair form among tied, else None.
 
-    uv is canonical iff it has the least invariant among edges and, among
-    the edges that tie with it, the least marked-pair form.  The scan of
-    ``invariant(adj, degs, x, y)``, which reads one degree list of g,
-    stops at the first strictly smaller invariant.  The tied edges are
-    grouped into orbits under the automorphisms g's canonical-form search
-    met: uv's orbit is skipped, and one marked form per further orbit is
-    compared with uv's, stopping at the first that beats it.
+    tied lists the edges of g that tie the created edge's invariant, the
+    least in g: the created edge first, then the others in increasing
+    order, as the look-ahead found them.  They are grouped into orbits
+    under the automorphisms g's canonical-form search met: the created
+    edge's orbit is skipped, and one marked form per further orbit is
+    compared with its, stopping at the first that beats it.
     """
-    adj, degs = g.adj, g.degrees()
-    inv = invariant(adj, degs, u, v)
-    tied = [(u, v)]
-    for x, y in edges:
-        if x == u and y == v:
-            continue
-        other = invariant(adj, degs, x, y)
-        if other < inv:
-            return None
-        if other == inv:
-            tied.append((x, y))
     cf = canonical_form(g)
     if len(tied) == 1:
         return cf
@@ -231,10 +220,36 @@ def _form_if_canonical(g: Graph, u: int, v: int, edges, invariant):
         if orbit[k] != k:
             continue  # not the first edge of its orbit
         if mine is None:
-            mine = marked_pair_form(g, u, v)
+            mine = marked_pair_form(g, *tied[0])
         if marked_pair_form(g, *tied[k]) < mine:
             return None
     return cf
+
+
+def _ties(ranked, created, changed, invariant, rows, degs):
+    """The edges of ranked whose invariant in the child ties created, or
+    None when one falls below it.
+
+    ranked holds records (invariant in the parent, x, y, span) in
+    increasing invariant, where span is the mask of every vertex xy's
+    invariant reads.  A record whose span misses changed, the vertices
+    whose degree or row the augmentation changes, keeps its invariant;
+    any other is re-ranked as ``invariant(rows, degs, x, y)``, where rows
+    and degs give xy's common neighbours and degrees in the child.  An
+    augmentation never lowers an invariant, so the walk stops at the first
+    record above created.
+    """
+    tied = []
+    for inv, x, y, span in ranked:
+        if inv > created:
+            break
+        if span & changed:
+            inv = invariant(rows, degs, x, y)
+        if inv < created:
+            return None
+        if inv == created:
+            tied.append((x, y))
+    return tied
 
 
 def _orbits(automorphisms, items):
@@ -302,11 +317,7 @@ def enumerate_c4free_planar(
 
     # an edge repairs at most 2 units of min-degree deficiency
     roots = [] if n * t > 2 * cap else [(Graph.empty(n), ((),) * n)]
-    out = _search(roots, visit)
-    # children are built unvalidated; the classes leave validated
-    return EnumerationResult(tuple(Graph(g.n, g.adj) for _, (g, _) in out),
-                             tuple(r for _, (_, r) in out),
-                             tuple(f for f, _ in out), budget.nodes)
+    return _search(roots, visit, budget)
 
 
 def _faces_and_masks(rotation):
@@ -319,27 +330,24 @@ def _c4free_children(g, rot, automorphisms, traced, cap, t, budget):
     with rotation rot, in candidate order, with their rotations.
 
     Of the candidates that ``_open_edges`` leaves open, only the first of
-    each orbit of g's automorphisms is built: the others give isomorphic
-    children with the same verdict.  Each built child is kept, with its
-    canonical form, iff uv is canonical in it and it is planar.  traced()
-    gives rot's face ``walks`` and cofacial masks.
+    each orbit of g's automorphisms is built, from the rows the look-ahead
+    made: the others give isomorphic children with the same verdict.
+    Each built child is kept, with its canonical form, iff uv wins the
+    tie-break among the edges the look-ahead found tying it, and it is
+    planar.  traced() gives rot's face ``walks`` and cofacial masks.
     A cofacial uv (on a common face of rot, or in different components)
     gives a planar child, whose rotation inserts v at u's corner of that
     face and u at v's; only the other children go to the left-right
     test, whose one embedding is both the verdict and the child's
     rotation.
     """
-    n, adj = g.n, g.adj
     candidates = list(_open_edges(g, cap, t, budget))
-    first = _orbits(automorphisms, candidates)
-    for k, (u, v) in enumerate(candidates):
+    first = _orbits(automorphisms, [(u, v) for u, v, _, _ in candidates])
+    for k, (u, v, rows, tied) in enumerate(candidates):
         if first[k] != k:
             continue
-        rows = list(adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        child = Graph._trusted(n, tuple(rows))
-        cf = _form_if_canonical(child, u, v, child.edges(), _edge_invariant)
+        child = Graph._trusted(g.n, rows)
+        cf = _form_if_canonical(child, [(u, v), *sorted(tied)])
         if cf is None:
             continue
         faces, masks = traced()
@@ -355,21 +363,20 @@ def _c4free_children(g, rot, automorphisms, traced, cap, t, budget):
 
 def _open_edges(g, cap, t, budget):
     """The non-edges uv (u < v) of g that survive three tests made on g
-    alone.
+    alone, each with the rows of g + uv and the other edges of g + uv
+    that tie uv's invariant.
 
     Every non-edge ticks the budget once.  A candidate is dropped when
     g + uv contains a C4; when its deficiency sum(t - deg) over degrees
     below t exceeds twice the edges it can still gain; and when the
     look-ahead finds an edge of g + uv with a strictly smaller invariant
-    than uv, a child ``_form_if_canonical`` rejects.
+    than uv, a child ``_form_if_canonical`` would reject.
 
     The look-ahead is exact.  Adding uv raises the degrees of u and v by
     one and adds v to N(u) and u to N(v), so an edge of g that avoids u
-    and v keeps its invariant, and one at u or v gets a computable one.
-    uv's own is (min(du, dv) + 1, max(du, dv) + 1, |N(u) & N(v)|).
-    Adding an edge never lowers an invariant, so the walk over g's
-    edges, in increasing invariant, stops at the first one not below
-    uv's.
+    and v keeps its invariant, and one at u or v is re-ranked on the
+    child's rows.  So ``_ties``, walking g's edges in increasing
+    invariant, finds every edge of g + uv that beats or ties uv.
     """
     n = g.n
     adj, degs = g.adj, g.degrees()
@@ -377,8 +384,8 @@ def _open_edges(g, cap, t, budget):
     deficit = sum(t - d for d in degs if d < t)
     # the deficiency a child's remaining edges can repair, 2 units each
     room = 2 * (cap - g.edge_count - 1)
-    # g's edges by increasing invariant
-    ranked = sorted((_edge_invariant(adj, degs, x, y), x, y)
+    # g's edges by increasing invariant, each read at its two ends
+    ranked = sorted((_edge_invariant(adj, degs, x, y), x, y, 1 << x | 1 << y)
                     for x, y in g.edges())
     for u in range(n):
         row_u = adj[u]
@@ -390,31 +397,17 @@ def _open_edges(g, cap, t, budget):
                 continue
             if deficit - needy[u] - needy[v] > room:
                 continue
-            du, dv = degs[u] + 1, degs[v] + 1
-            created = (min(du, dv), max(du, dv), (row_u & adj[v]).bit_count())
-            if not _edge_beaten(ranked, created, u, v, adj, degs):
-                yield u, v
-
-
-def _edge_beaten(ranked, created, u, v, adj, degs) -> bool:
-    """True iff an edge of ranked, after adding uv, has an invariant
-    strictly below created."""
-    touched = (1 << u) | (1 << v)
-    for inv, x, y in ranked:
-        if inv >= created:
-            return False
-        if not ((1 << x) | (1 << y)) & touched:
-            return True  # its invariant is unchanged
-        # one end, say x, is u or v: x gains a degree, and the common
-        # neighbours gain the other of u, v if y is adjacent to it
-        if not touched >> x & 1:
-            x, y = y, x
-        other = v if x == u else u
-        dx, dy = degs[x] + 1, degs[y]
-        common = inv[2] + (adj[y] >> other & 1)
-        if (min(dx, dy), max(dx, dy), common) < created:
-            return True
-    return False
+            rows = list(adj)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            child_degs = list(degs)
+            child_degs[u] += 1
+            child_degs[v] += 1
+            created = _edge_invariant(rows, child_degs, u, v)
+            tied = _ties(ranked, created, 1 << u | 1 << v, _edge_invariant,
+                         rows, child_degs)
+            if tied is not None:
+                yield u, v, tuple(rows), tied
 
 
 def _chord(rot, faces, u: int, v: int):
@@ -499,13 +492,13 @@ def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
     return Graph._trusted(n + 1, tuple(rows)), tuple(new_rotation)
 
 
-def _contractible_edges(g: Graph):
-    """Edges whose contraction keeps the triangulation simple."""
-    return [
-        (u, v)
-        for u, v in g.edges()
-        if (g.adj[u] & g.adj[v]).bit_count() == 2
-    ]
+def _contractible_edges(g: Graph, within: int):
+    """The edges of g with both ends in the vertex mask within whose
+    contraction keeps the triangulation simple, in increasing order."""
+    adj = g.adj
+    return [(u, v) for u in bits(within)
+            for v in bits(adj[u] & within >> u + 1 << u + 1)
+            if (adj[u] & adj[v]).bit_count() == 2]
 
 
 def _contraction_invariant(adj, degs, u: int, v: int):
@@ -544,12 +537,7 @@ def enumerate_triangulations(
         return False, _children(g, rot, automorphisms, n_target, prune5,
                                 budget)
 
-    out = _search([_k4_embedding()], visit)
-    # children are built unvalidated; the classes leave validated
-    return EnumerationResult(
-        tuple(Graph(g.n, g.adj) for _, (g, _) in out),
-        tuple(r for _, (_, r) in out), tuple(f for f, _ in out),
-        budget.nodes)
+    return _search([_k4_embedding()], visit, budget)
 
 
 def _children(g, rot, automorphisms, n_target, prune5, budget):
@@ -562,33 +550,54 @@ def _children(g, rot, automorphisms, n_target, prune5, budget):
     s maps rot to itself or to its mirror image; either way it carries
     the split to the split of s(w) at s(a) and s(b), whose child is
     isomorphic.  Each built child is kept, with its canonical form, iff
-    its created edge is canonical.
+    no edge inside N[w] beats its created edge (w, n) and (w, n) wins the
+    tie-break among the edges that tie it, inside N[w] or out.
     """
     n = g.n
     splits = list(_open_splits(g, rot, n_target, prune5, budget))
     first = _orbits(automorphisms,
-                    [(w, rot[w][i], rot[w][j]) for w, i, j in splits])
-    for k, (w, i, j) in enumerate(splits):
+                    [(w, rot[w][i], rot[w][j]) for w, i, j, _, _ in splits])
+    for k, (w, i, j, created, tied) in enumerate(splits):
         if first[k] != k:
             continue
         child, child_rot = _split_vertex(g, rot, w, i, j)
-        # the new edge (w, n) has exactly the two common neighbours
-        # rot_w[i] and rot_w[j], so it is contractible
-        cf = _form_if_canonical(child, w, n, _contractible_edges(child),
-                                _contraction_invariant)
+        inside = _inside_ties(child, w, g.adj[w] | 1 << w | 1 << n, created)
+        if inside is None:
+            continue
+        cf = _form_if_canonical(child, [(w, n), *sorted(tied + inside)])
         if cf is not None:
             yield cf, (child, child_rot)
 
 
+def _inside_ties(child, w, within, created):
+    """The contractible edges of the child split from w, other than the
+    created edge, with both ends in within, N[w] in the parent plus the
+    new vertex, whose invariant ties created; None when one ranks below
+    it.  These are the edges the look-ahead cannot rank."""
+    adj, degs = child.adj, child.degrees()
+    tied = []
+    for x, y in _contractible_edges(child, within):
+        if x == w and y == child.n - 1:
+            continue  # the created edge
+        inv = _contraction_invariant(adj, degs, x, y)
+        if inv < created:
+            return None
+        if inv == created:
+            tied.append((x, y))
+    return tied
+
+
 def _open_splits(g, rot, n_target, prune5, budget):
-    """The splits (w, i, j) of g that survive two tests made on g alone.
+    """The splits (w, i, j) of g that survive two tests made on g alone,
+    each with its created edge's invariant and the edges with an end
+    outside N[w] that tie it.
 
     Every split ticks the budget once.  With prune5, a split is dropped
     when the degree deficiency sum(max(0, 5 - deg)) left after it exceeds
     twice the splits remaining.  Then the look-ahead drops a split when
     some edge of the child would have a strictly smaller contraction
     invariant than the created edge, a child ``_form_if_canonical``
-    rejects.
+    would reject.
 
     The look-ahead is exact for edges with an end outside N[w], the
     closed neighbourhood of w in g.  Splitting w at a = rot_w[i] and
@@ -597,24 +606,21 @@ def _open_splits(g, rot, n_target, prune5, budget):
     vertex.  An edge xy of the child with x outside N[w] is therefore an
     edge of g with the same common neighbours, so it is contractible in
     the child iff in g, and its child invariant is its invariant in g
-    with the degrees of a and b raised by one.  Raising degrees never
-    lowers an invariant, so the walk over g's contractible edges, in
-    increasing invariant, stops at the first one not below the created
-    edge's invariant, which is known before the split.
+    with the degrees of a and b raised by one.  The created edge's
+    invariant is known before the split, so ``_ties``, walking those
+    edges of g in increasing invariant, finds each that beats or ties it.
     """
     n = g.n
-    degs = g.degrees()
+    adj, degs = g.adj, g.degrees()
     short = [max(0, 5 - d) for d in degs]
     spare = 2 * (n_target - (n + 1)) - sum(short)
     needy = [s > 0 for s in short]
-    # g's contractible edges by increasing invariant
-    ranked = []
-    for u, v in _contractible_edges(g):
-        common = g.adj[u] & g.adj[v]
-        c, e = bits(common)
-        ranked.append((_contraction_invariant(g.adj, degs, u, v), u, v, c, e,
-                       (1 << u) | (1 << v) | common))
-    ranked.sort(key=itemgetter(0))
+    # g's contractible edges by increasing invariant, each read at its
+    # ends and its two common neighbours
+    ranked = sorted(((_contraction_invariant(adj, degs, x, y), x, y,
+                      1 << x | 1 << y | adj[x] & adj[y])
+                     for x, y in _contractible_edges(g, (1 << n) - 1)),
+                    key=itemgetter(0))
     for w in range(n):
         rot_w = rot[w]
         d = len(rot_w)
@@ -622,7 +628,7 @@ def _open_splits(g, rot, n_target, prune5, budget):
         # b each gain a degree
         halves = [max(0, 3 - arc) + max(0, 3 - d + arc) - short[w]
                   for arc in range(d)]
-        closed = g.adj[w] | 1 << w
+        closed = adj[w] | 1 << w
         outside = [r for r in ranked
                    if ((1 << r[1]) | (1 << r[2])) & ~closed]
         for i in range(d):
@@ -636,23 +642,11 @@ def _open_splits(g, rot, n_target, prune5, budget):
                 da, db = degs[a] + 1, degs[b] + 1
                 d1, d2 = arc + 2, d - arc + 2
                 created = (min(d1, d2), max(d1, d2), min(da, db), max(da, db))
-                if not _beaten(outside, created, a, b, degs):
-                    yield w, i, j
-
-
-def _beaten(outside, created, a, b, degs) -> bool:
-    """True iff an edge of outside, after the split at a and b, has an
-    invariant strictly below created."""
-    touched = (1 << a) | (1 << b)
-    for inv, u, v, c, e, span in outside:
-        if inv >= created:
-            return False
-        if not span & touched:
-            return True  # its invariant is unchanged
-        du = degs[u] + (u == a or u == b)
-        dv = degs[v] + (v == a or v == b)
-        dc = degs[c] + (c == a or c == b)
-        de = degs[e] + (e == a or e == b)
-        if (min(du, dv), max(du, dv), min(dc, de), max(dc, de)) < created:
-            return True
-    return False
+                # w and the new vertex change degree too, but no edge
+                # outside N[w] reads them
+                split_degs = list(degs)
+                split_degs[a], split_degs[b] = da, db
+                tied = _ties(outside, created, 1 << a | 1 << b,
+                             _contraction_invariant, adj, split_degs)
+                if tied is not None:
+                    yield w, i, j, created, tied

@@ -232,19 +232,19 @@ class Recording:
     result: enumeration.EnumerationResult
     states: list  # the (graph, rotation) state of every node visited
     automorphisms: list  # the automorphisms the search hands each state
-    built: list  # every graph handed to the canonicity test
+    built: list  # every child the search builds
     duplicates: int  # children the per-parent dedup dropped
 
 
 def recorded_search(task) -> Recording:
     """Run the search of task, C4-free or triangulation, and record every
-    node it visits, with its automorphisms, every child it builds and how
-    many children it drops as duplicates of a sibling."""
+    node it visits, with its automorphisms, every child it builds (each
+    ``Graph._trusted`` call) and how many children it drops as duplicates
+    of a sibling."""
     record = Recording(None, [], [], [], 0)
-    search, form_if_canonical = (enumeration._search,
-                                 enumeration._form_if_canonical)
+    search, trusted = enumeration._search, Graph._trusted
 
-    def recording_search(roots, visit):
+    def recording_search(roots, visit, budget):
         def recorded(state, automorphisms):
             record.states.append(state)
             record.automorphisms.append(automorphisms)
@@ -253,15 +253,16 @@ def recorded_search(task) -> Recording:
             forms = {cf.form for cf, _ in children}
             record.duplicates += len(children) - len(forms)
             return emit, children
-        return search(roots, recorded)
+        return search(roots, recorded, budget)
 
-    def recording_form(g, *args):
+    def recording_trusted(n, adj):
+        g = trusted(n, adj)
         record.built.append(g)
-        return form_if_canonical(g, *args)
+        return g
 
     with mock.patch.object(enumeration, "_search", recording_search), \
-            mock.patch.object(enumeration, "_form_if_canonical",
-                              recording_form):
+            mock.patch.object(Graph, "_trusted",
+                              staticmethod(recording_trusted)):
         if task.mode == "triangulation":
             record.result = enumeration.enumerate_triangulations(task)
         else:

@@ -154,3 +154,30 @@ def test_walks_is_the_one_face_tracer():
     assert callers("walks") == {
         "planarity.faces", "planarity.cofacial_masks",
         "enumeration._faces_and_masks"}
+
+
+def users(name):
+    """module.function for each function of the package that calls name
+    or hands it on."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Name) and node.id == name
+                    for node in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_the_look_ahead_ranks_the_edges_once():
+    # each look-ahead ranks its parent's edges once and walks them with the
+    # one tie walker; the canonicity test ranks nothing, and only the
+    # edges a split changes inside N[w] are ranked on the child, so no
+    # second ranking can grow back
+    assert callers("_ties") == {
+        "enumeration._open_edges", "enumeration._open_splits"}
+    assert users("_edge_invariant") == {"enumeration._open_edges"}
+    assert users("_contraction_invariant") == {
+        "enumeration._open_splits", "enumeration._inside_ties"}
+    # the walker is the one function that calls an invariant handed on
+    assert callers("invariant") == {"enumeration._ties"}

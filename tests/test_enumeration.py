@@ -12,11 +12,11 @@ from planram.cli import main
 from planram.construct import build_ramsey_lower_witness
 from planram.enumeration import (
     EnumerationTask,
-    _contractible_edges,
     _contraction_invariant,
     _edge_invariant,
     _Budget,
     _form_if_canonical,
+    _inside_ties,
     _open_edges,
     _open_splits,
     _split_vertex,
@@ -177,6 +177,32 @@ def full_canonical_edges(g, edges, invariant):
     return {e for e, form in forms.items() if form == least}
 
 
+def reference_ties(g, created, edges, invariant):
+    """The edges that tie created on invariant, created first and then the
+    others in increasing order, or None when an edge ranks below it."""
+    ranks = {e: invariant(g, *e) for e in edges}
+    if min(ranks.values()) < ranks[created]:
+        return None
+    return [created, *sorted(e for e, inv in ranks.items()
+                             if inv == ranks[created] and e != created)]
+
+
+def contractible(g):
+    return [(x, y) for x, y in g.edges()
+            if (g.adj[x] & g.adj[y]).bit_count() == 2]
+
+
+def c4free_states(n_max):
+    """(g, cap) for every inner state of the C4-free trees of order up to
+    n_max: every class of order n with fewer edges than cap."""
+    for n in range(2, n_max + 1):
+        cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
+        for g in enumerate_c4free_planar(
+                EnumerationTask(n=n, mode="c4free_planar")).graphs:
+            if g.edge_count < cap:
+                yield g, cap
+
+
 def c4free_children(n_max):
     """Every planar C4-free child of every C4-free planar class below
     order n_max, with the edge ranking the C4-free search uses."""
@@ -208,11 +234,13 @@ def triangulation_children(n_max):
     n_max - 1, with the contractible edges the triangulation search ranks."""
     for g, rot, w, i, j in triangulation_splits(n_max):
         child, _ = _split_vertex(g, rot, w, i, j)
-        yield (child, _contractible_edges(child), _contraction_invariant,
+        yield (child, contractible(child), _contraction_invariant,
                reference_contraction_invariant)
 
 
 def test_edge_canonicity_matches_full_rule():
+    # every edge of every child, taken as the created one: handed the
+    # reference tie list, the tie-break decides as the full rule does
     for children in (c4free_children(8), triangulation_children(9)):
         checked = 0
         outcomes = set()
@@ -223,16 +251,15 @@ def test_edge_canonicity_matches_full_rule():
                 child.adj, degs, *e)) for e in edges)
             for (r1, i1), (r2, i2) in zip(ranked, ranked[1:]):
                 assert (r1 == r2) == (i1 == i2) and i1 <= i2
-            best = ranked[0][0]
             canonical = full_canonical_edges(child, edges, reference)
             child_form = canonical_form(child)
-            for x, y in edges:
-                cf = _form_if_canonical(child, x, y, edges, invariant)
+            for e in edges:
+                tied = reference_ties(child, e, edges, reference)
+                cf = None if tied is None else _form_if_canonical(child, tied)
                 assert cf in (None, child_form)
                 verdict = cf is not None
-                assert verdict == ((x, y) in canonical)
-                minimal = reference(child, x, y) == best
-                outcomes.add((minimal, verdict))
+                assert verdict == (e in canonical)
+                outcomes.add((tied is not None, verdict))
                 checked += 1
         assert checked > 8000
         # both verdicts occur, including ties that only marked forms decide
@@ -241,48 +268,69 @@ def test_edge_canonicity_matches_full_rule():
 
 def test_lookahead_rejects_only_noncanonical_splits():
     # every split of every class of orders 4-10: the tree of the order-11
-    # search, 29,444 splits
+    # search, 29,444 splits.  The look-ahead with the scan inside N[w]
+    # drops a split iff an edge of its child ranks below the created one,
+    # and otherwise finds exactly the edges that tie it
     opened = {}
     outcomes = set()
+    checked = 0
     for g, rot, w, i, j in triangulation_splits(11):
         if g not in opened:
-            opened[g] = set(_open_splits(g, rot, 11, False, _Budget(None)))
+            opened[g] = {split[:3]: split[3:] for split in _open_splits(
+                g, rot, 11, False, _Budget(None))}
         child, _ = _split_vertex(g, rot, w, i, j)
-        canonical = _form_if_canonical(
-            child, w, g.n, _contractible_edges(child),
-            _contraction_invariant) is not None
-        passed = (w, i, j) in opened[g]
-        assert passed or not canonical, (g, w, i, j)
-        outcomes.add((passed, canonical))
+        created = (w, g.n)
+        edges = contractible(child)
+        expected = reference_ties(child, created, edges,
+                                  reference_contraction_invariant)
+        tied = None
+        if (w, i, j) in opened[g]:
+            invariant, outside = opened[g][w, i, j]
+            assert invariant == _contraction_invariant(
+                child.adj, child.degrees(), *created)
+            inside = _inside_ties(
+                child, w, g.adj[w] | 1 << w | 1 << g.n, invariant)
+            if inside is not None:
+                tied = [created, *sorted(outside + inside)]
+        assert tied == expected, (g, w, i, j)
+        canonical = tied is not None and \
+            _form_if_canonical(child, tied) is not None
+        outcomes.add(((w, i, j) in opened[g], canonical))
+        checked += 1
+    assert checked == 29444
     # the look-ahead rejects splits, and leaves some non-canonical ones
-    # to the full test
+    # to the scan inside N[w] or the tie-break
     assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_c4free_lookahead_rejects_only_noncanonical_children():
-    # every C4-free candidate of every inner state of the order-9 tree
-    n = 9
-    cap = c4free_edge_cap(n)
+    # every C4-free candidate of every inner state of the trees of order
+    # up to 9: the look-ahead drops a candidate iff an edge of its child
+    # ranks below uv, and otherwise finds exactly the edges that tie uv
     outcomes = set()
     checked = 0
-    for g in enumerate_c4free_planar(
-            EnumerationTask(n=n, mode="c4free_planar")).graphs:
-        if g.edge_count == cap:
-            continue  # a leaf: the search adds no edge to it
-        opened = set(_open_edges(g, cap, 0, _Budget(None)))
-        for u, v in itertools.combinations(range(n), 2):
+    for g, cap in c4free_states(9):
+        opened = {(u, v): (rows, tied) for u, v, rows, tied
+                  in _open_edges(g, cap, 0, _Budget(None))}
+        for u, v in itertools.combinations(range(g.n), 2):
             if g.has_edge(u, v) or adding_edge_creates_c4(g, u, v):
                 continue
             child = g.add_edge(u, v)
-            canonical = _form_if_canonical(
-                child, u, v, child.edges(), _edge_invariant) is not None
-            passed = (u, v) in opened
-            assert passed or not canonical, (g, u, v)
-            outcomes.add((passed, canonical))
+            expected = reference_ties(child, (u, v), list(child.edges()),
+                                      reference_edge_invariant)
+            tied = None
+            if (u, v) in opened:
+                rows, outside = opened[u, v]
+                assert rows == child.adj
+                tied = [(u, v), *sorted(outside)]
+            assert tied == expected, (g, u, v)
+            canonical = tied is not None and \
+                _form_if_canonical(child, tied) is not None
+            outcomes.add(((u, v) in opened, canonical))
             checked += 1
-    assert checked > 15000
+    assert checked == 21374
     # the look-ahead rejects children, and leaves the lost ties to the
-    # full test
+    # tie-break
     assert outcomes == {(False, False), (True, False), (True, True)}
 
 
@@ -320,13 +368,13 @@ def test_open_candidates_are_closed_under_the_automorphisms():
                 cap = c4free_edge_cap(n) if n >= 4 else n * (n - 1) // 2
                 if g.edge_count == cap:
                     continue  # a leaf
-                open_ = {frozenset(e) for e in _open_edges(
+                open_ = {frozenset(e[:2]) for e in _open_edges(
                     g, cap, task.min_degree, _Budget(None))}
             else:
                 if g.n == n:
                     continue  # a leaf
                 open_ = {(w, frozenset((rot[w][i], rot[w][j])))
-                         for w, i, j in _open_splits(
+                         for w, i, j, _, _ in _open_splits(
                              g, rot, n, task.min_degree == 5, _Budget(None))}
             for perm in automorphisms:
                 if task.mode == "c4free_planar":
@@ -363,7 +411,7 @@ def test_built_children_and_classes_pass_validation():
             assert Graph(g.n, g.adj) == g
 
 
-# children built (graphs handed to _form_if_canonical) per C4-free task;
+# children built (Graph._trusted calls) per C4-free task;
 # outputs and nodes_visited cannot show a look-ahead that stopped
 # rejecting, or an orbit rule that stopped skipping, this count does
 CHILDREN_BUILT = [
