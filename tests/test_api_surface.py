@@ -156,6 +156,13 @@ def test_walks_is_the_one_face_tracer():
         "enumeration._faces_and_masks"}
 
 
+def test_the_left_right_port_is_the_one_planarity_path():
+    # every planarity verdict and rotation comes from one run of the
+    # port, so no second planarity test can grow back beside it
+    assert callers("_LeftRight") == {
+        "planarity.is_planar", "planarity.rotation_system"}
+
+
 def users(name):
     """module.function for each function of the package that calls name
     or hands it on."""

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from planram.planarity import (
 )
 
 from oracles import (
+    cyclic_garbage,
     networkx_rotation,
     path,
     recorded_search,
@@ -159,6 +161,68 @@ def test_port_matches_networkx_on_seeds_and_witnesses():
         u, v = rng.sample(range(g.n), 2)
         if not g.has_edge(u, v):
             agrees_with_networkx(g.add_edge(u, v))
+
+
+
+def test_port_matches_networkx_on_the_atlas_of_orders_6_and_7():
+    import networkx as nx
+
+    verdicts = [agrees_with_networkx(Graph.from_edges(h.order(), h.edges()))
+                for h in nx.graph_atlas_g() if h.order() in (6, 7)]
+    assert len(verdicts) == 156 + 1044
+    assert verdicts.count(True) == 964
+
+
+def test_port_matches_networkx_on_triangulations_plus_an_edge():
+    from planram.enumeration import EnumerationTask, enumerate_triangulations
+
+    verdicts = []
+    for n in range(4, 10):
+        task = EnumerationTask(n=n, mode="triangulation")
+        for g in enumerate_triangulations(task).graphs:
+            assert agrees_with_networkx(g)
+            verdicts += [agrees_with_networkx(g.add_edge(u, v))
+                         for u, v in itertools.combinations(range(n), 2)
+                         if not g.has_edge(u, v)]
+    # a triangulation plus any edge has more than 3n - 6 edges
+    assert len(verdicts) == 927 and not any(verdicts)
+
+
+def stacked_triangulation(n: int) -> Graph:
+    """Vertex v joined to v - 1, v - 2 and v - 3: a triangulation whose
+    DFS from 0 is one path through every vertex."""
+    return Graph.from_edges(n, [(v, v - k) for v in range(1, n)
+                                for k in (1, 2, 3) if v >= k])
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_port_recurses_at_most_a_few_frames_per_vertex():
+    # the DFS phases recurse once per tree edge, at most n - 1 <= 63 deep
+    # on the largest Graph, and _sign follows one ref chain of at most
+    # 3 * 64 - 6 edges; 100 frames above the caller must suffice
+    graphs = [path(64), Graph.cycle(64), stacked_triangulation(64)]
+    assert graphs[-1].edge_count == 3 * 64 - 6
+    graphs += [g.add_edge(0, 32) for g in graphs]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        verdicts = [agrees_with_networkx(g) for g in graphs]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == [True] * 5 + [False]
+
+
+def test_left_right_leaves_no_reference_cycle():
+    g = stacked_triangulation(64)
+    assert cyclic_garbage(lambda: rotation_system(g)) == 0
+    # K3,3 is within the edge bound, so the DFS runs and rejects it
+    assert cyclic_garbage(lambda: is_planar(K33)) == 0
 
 
 def test_is_planar():
