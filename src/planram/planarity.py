@@ -149,9 +149,12 @@ def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
 
 # -- the left-right planarity test ---------------------------------------
 #
-# _LeftRight is a port of LRPlanarity and of the half-edge bookkeeping of
-# PlanarEmbedding in networkx 3.6.1 (networkx/algorithms/planarity.py),
-# which is distributed under the 3-clause BSD license:
+# _LeftRight is a port of LRPlanarity's recursive methods
+# (lr_planarity_recursive, dfs_orientation_recursive, dfs_testing_recursive
+# and dfs_embedding_recursive) and of the leftmost-neighbour rule of
+# PlanarEmbedding.add_half_edge in networkx 3.6.1
+# (networkx/algorithms/planarity.py), which is distributed under the
+# 3-clause BSD license:
 #
 #   Copyright (c) 2004-2025, NetworkX Developers
 #   Aric Hagberg <hagberg@lanl.gov>
@@ -185,25 +188,33 @@ def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
 #   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
 #   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 #   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+#   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 
 class _LeftRight:
     """The left-right planarity test (U. Brandes, "The Left-Right
-    Planarity Test", 2009) of one graph: a port of ``LRPlanarity`` and of
-    the half-edge bookkeeping of ``PlanarEmbedding`` in networkx 3.6.1,
-    Copyright (c) 2004-2025, NetworkX Developers, under the 3-clause BSD
-    license reproduced above.
+    Planarity Test", 2009) of one graph: a port of ``LRPlanarity``'s
+    recursive methods and of ``PlanarEmbedding.add_half_edge``'s leftmost
+    rule in networkx 3.6.1, Copyright (c) 2004-2025, NetworkX Developers,
+    under the 3-clause BSD license reproduced above.
 
     It runs networkx's three phases on the bitmask graph: the DFS
     orientation with lowpoints and nesting depths, the testing phase with
     its stack of conflict pairs, and the embedding phase.  It keeps every
     order networkx's result depends on: each vertex visits its neighbours
-    in ascending order, adjacency lists are stable-sorted by nesting
-    depth, and each vertex's leftmost neighbour moves as it does in
-    ``PlanarEmbedding.add_half_edge``.  So ``rotation`` lists, vertex by
+    in ascending order, and adjacency lists are stable-sorted by nesting
+    depth.  Each vertex's rotation is one list, clockwise from its
+    leftmost neighbour: a half-edge put counterclockwise of the leftmost
+    neighbour becomes the leftmost, as in ``add_half_edge``, and every
+    other one leaves it in place.  So ``rotation`` lists, vertex by
     vertex, what networkx's ``neighbors_cw_order`` lists for the graph
     whose adjacency is in ascending order.  Each new conflict pair starts
     with two fresh empty intervals.
+
+    The three phases recurse once per tree edge, so at most n <= 64
+    (``MAX_VERTICES``) calls deep, and ``_sign`` follows one chain of
+    reference edges, at most 3 * 64 - 6 = 186 edges long: both stay far
+    inside Python's default recursion limit.
 
     The edge oriented from v to w is the integer v * n + w, and -1 stands
     for networkx's None; a per-edge list has one extra last slot, which an
@@ -212,8 +223,9 @@ class _LeftRight:
     """
 
     __slots__ = ("n", "adj", "roots", "height", "parent_edge", "lowpt",
-                 "nesting_depth", "out", "ordered_adjs", "ref", "side", "S",
-                 "stack_bottom", "lowpt_edge", "cw", "ccw", "leftmost")
+                 "lowpt2", "nesting_depth", "oriented", "out", "ordered_adjs",
+                 "ref", "side", "S", "stack_bottom", "lowpt_edge", "rows",
+                 "left_ref", "right_ref")
 
     def __init__(self, g: Graph):
         n = g.n
@@ -223,7 +235,9 @@ class _LeftRight:
         self.height = [-1] * n
         self.parent_edge = [-1] * n
         self.lowpt = [0] * size
+        self.lowpt2 = [0] * size
         self.nesting_depth = [0] * size
+        self.oriented = [0] * n  # per vertex, the neighbours oriented to it
         self.out = [[] for _ in range(n)]  # oriented edges, in DFS order
         self.ref = [-1] * size
         self.side = [1] * size
@@ -234,12 +248,16 @@ class _LeftRight:
     def test(self) -> bool:
         """Orient the graph, then run the testing phase: True iff the
         graph is planar."""
-        n = self.n
+        n, height = self.n, self.height
         if n > 2 and sum(row.bit_count() for row in self.adj) > 6 * n - 12:
             return False
-        self._orient()
+        for root in range(n):
+            if height[root] == -1:
+                height[root] = 0
+                self.roots.append(root)
+                self._orient(root)
         self._sort_adjacency()
-        return all(self._test_from(root) for root in self.roots)
+        return all(self._test(root) for root in self.roots)
 
     def rotation(self) -> tuple[tuple[int, ...], ...]:
         """The embedding phase, after a test that found the graph planar:
@@ -249,25 +267,12 @@ class _LeftRight:
             for w in out:
                 nesting_depth[v * n + w] *= self._sign(v * n + w)
         self._sort_adjacency()
-        self.cw, self.ccw = [-1] * (n * n), [-1] * (n * n)
-        self.leftmost = [-1] * n
-        for v, adjs in enumerate(self.ordered_adjs):
-            previous = -1
-            for w in adjs:
-                self._add_half_edge(v, w, ccw=previous)
-                previous = w
+        # networkx adds each vertex's out-edges clockwise in this order
+        self.rows = [list(adjs) for adjs in self.ordered_adjs]
+        self.left_ref, self.right_ref = [-1] * n, [-1] * n
         for root in self.roots:
-            self._embed_from(root)
-        cw, leftmost = self.cw, self.leftmost
-        rotation = []
-        for v in range(n):
-            row = []
-            x = leftmost[v]
-            while x != -1 and (not row or x != row[0]):
-                row.append(x)
-                x = cw[v * n + x]
-            rotation.append(tuple(row))
-        return tuple(rotation)
+            self._embed(root)
+        return tuple(map(tuple, self.rows))
 
     def _sort_adjacency(self):
         n, nesting_depth = self.n, self.nesting_depth
@@ -275,107 +280,61 @@ class _LeftRight:
             sorted(out, key=lambda w, base=v * n: nesting_depth[base + w])
             for v, out in enumerate(self.out)]
 
-    def _orient(self):
-        """networkx's ``dfs_orientation`` from each root in turn: orient
-        the edges by DFS and find lowpoints and nesting depths."""
-        n = self.n
-        height, parent_edge, out = self.height, self.parent_edge, self.out
-        lowpt, nesting_depth = self.lowpt, self.nesting_depth
-        lowpt2 = [0] * (n * n + 1)
-        nbrs = [list(bits(row)) for row in self.adj]
-        oriented = [0] * n  # per vertex, the neighbours oriented towards it
-        # per vertex, the next position in its list, or ~i to come back
-        # to the tree edge at i once its subtree is done
-        ind = [0] * n
-        for root in range(n):
-            if height[root] != -1:
-                continue
-            height[root] = 0
-            self.roots.append(root)
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                e = parent_edge[v]
-                hv = height[v]
-                adjs = nbrs[v]
-                i = ind[v]
-                resume = i < 0
-                if resume:
-                    i = ~i
-                while i < len(adjs):
-                    w = adjs[i]
-                    vw = v * n + w
-                    if resume:
-                        resume = False
-                    elif oriented[v] >> w & 1:
-                        i += 1
-                        continue  # the edge was already oriented
-                    else:
-                        oriented[w] |= 1 << v
-                        out[v].append(w)
-                        lowpt[vw] = lowpt2[vw] = hv
-                        if height[w] == -1:  # a tree edge
-                            parent_edge[w] = vw
-                            height[w] = hv + 1
-                            ind[v] = ~i
-                            stack.append(v)
-                            stack.append(w)
-                            break
-                        lowpt[vw] = height[w]  # a back edge
-                    # the nesting order: chordal edges after the others
-                    nesting_depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
-                    if e != -1:  # update the lowpoints of the parent edge
-                        if lowpt[vw] < lowpt[e]:
-                            lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                            lowpt[e] = lowpt[vw]
-                        elif lowpt[vw] > lowpt[e]:
-                            lowpt2[e] = min(lowpt2[e], lowpt[vw])
-                        else:
-                            lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                    i += 1
-
-    def _test_from(self, root) -> bool:
-        """networkx's ``dfs_testing``: False iff the edges below root
-        admit no left-right partition."""
-        n, S = self.n, self.S
-        height, parent_edge, lowpt = self.height, self.parent_edge, self.lowpt
-        ordered_adjs, stack_bottom = self.ordered_adjs, self.stack_bottom
-        lowpt_edge = self.lowpt_edge
-        ind = [0] * n  # as in _orient
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent_edge[v]
-            hv = height[v]
-            adjs = ordered_adjs[v]
-            i = ind[v]
-            resume = i < 0
-            if resume:
-                i = ~i
-            while i < len(adjs):
-                w = adjs[i]
-                ei = v * n + w
-                if resume:
-                    resume = False
+    def _orient(self, v):
+        """networkx's ``dfs_orientation_recursive``: orient the edges below
+        v by DFS and find their lowpoints and nesting depths."""
+        n, height, oriented = self.n, self.height, self.oriented
+        lowpt, lowpt2 = self.lowpt, self.lowpt2
+        e = self.parent_edge[v]
+        hv = height[v]
+        for w in bits(self.adj[v]):
+            if oriented[v] >> w & 1:
+                continue  # the edge was already oriented
+            oriented[w] |= 1 << v
+            self.out[v].append(w)
+            vw = v * n + w
+            lowpt[vw] = lowpt2[vw] = hv
+            if height[w] == -1:  # a tree edge
+                self.parent_edge[w] = vw
+                height[w] = hv + 1
+                self._orient(w)
+            else:  # a back edge
+                lowpt[vw] = height[w]
+            # the nesting order: chordal edges after the others
+            self.nesting_depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
+            if e != -1:  # update the lowpoints of the parent edge
+                if lowpt[vw] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                    lowpt[e] = lowpt[vw]
+                elif lowpt[vw] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[vw])
                 else:
-                    stack_bottom[ei] = S[-1] if S else None
-                    if ei == parent_edge[w]:  # a tree edge
-                        ind[v] = ~i
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt_edge[ei] = ei  # a back edge
-                    S.append([-1, -1, ei, ei])
-                # integrate new return edges
-                if lowpt[ei] < hv:
-                    if i == 0:  # ei has a return edge
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not self._add_constraints(ei, e):
-                        return False
-                i += 1
-            else:
-                if e != -1:  # v is not a root
-                    self._remove_back_edges(e)
+                    lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    def _test(self, v) -> bool:
+        """networkx's ``dfs_testing_recursive``: False iff the edges below
+        v admit no left-right partition."""
+        n, S, lowpt, lowpt_edge = self.n, self.S, self.lowpt, self.lowpt_edge
+        e = self.parent_edge[v]
+        hv = self.height[v]
+        adjs = self.ordered_adjs[v]
+        for w in adjs:
+            ei = v * n + w
+            self.stack_bottom[ei] = S[-1] if S else None
+            if ei == self.parent_edge[w]:  # a tree edge
+                if not self._test(w):
+                    return False
+            else:  # a back edge
+                lowpt_edge[ei] = ei
+                S.append([-1, -1, ei, ei])
+            # integrate new return edges
+            if lowpt[ei] < hv:
+                if w == adjs[0]:  # ei has a return edge
+                    lowpt_edge[e] = lowpt_edge[ei]
+                elif not self._add_constraints(ei, e):
+                    return False
+        if e != -1:  # v is not a root
+            self._remove_back_edges(e)
         return True
 
     def _add_constraints(self, ei, e) -> bool:
@@ -467,55 +426,24 @@ class _LeftRight:
             ref[e] = -1
         return side[e]
 
-    def _embed_from(self, root):
-        """networkx's ``dfs_embedding``: add the half-edge back along each
-        tree edge and each back edge, on the side the test chose."""
-        n, side, parent_edge = self.n, self.side, self.parent_edge
-        ordered_adjs, leftmost = self.ordered_adjs, self.leftmost
-        left_ref, right_ref = [-1] * n, [-1] * n
-        ind = [0] * n
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            adjs = ordered_adjs[v]
-            while ind[v] < len(adjs):
-                w = adjs[ind[v]]
-                ind[v] += 1
-                ei = v * n + w
-                if ei == parent_edge[w]:  # a tree edge
-                    self._add_half_edge(w, v, cw=leftmost[w])
-                    left_ref[v] = right_ref[v] = w
-                    stack.append(v)
-                    stack.append(w)
-                    break
-                if side[ei] == 1:  # a back edge
-                    self._add_half_edge(w, v, ccw=right_ref[w])
-                else:
-                    self._add_half_edge(w, v, cw=left_ref[w])
-                    left_ref[w] = v
-
-    def _add_half_edge(self, start, end, cw=-1, ccw=-1):
-        """networkx's ``PlanarEmbedding.add_half_edge``: put end next to
-        cw, counterclockwise, or next to ccw, clockwise, in start's
-        rotation.  The leftmost neighbour becomes end when start had none
-        or when cw was the leftmost; otherwise it stays."""
-        base = start * self.n
-        cws, ccws, leftmost = self.cw, self.ccw, self.leftmost
-        if leftmost[start] == -1:  # the first half-edge out of start
-            cws[base + end] = ccws[base + end] = end
-            leftmost[start] = end
-        elif cw != -1:
-            ref_ccw = ccws[base + cw]
-            cws[base + end], ccws[base + end] = cw, ref_ccw
-            cws[base + ref_ccw] = end
-            ccws[base + cw] = end
-            if cw == leftmost[start]:
-                leftmost[start] = end
-        else:
-            ref_cw = cws[base + ccw]
-            cws[base + end], ccws[base + end] = ref_cw, ccw
-            ccws[base + ref_cw] = end
-            cws[base + ccw] = end
+    def _embed(self, v):
+        """networkx's ``dfs_embedding_recursive``: add the half-edge back
+        along each tree edge and each back edge below v, on the side the
+        test chose."""
+        n, rows = self.n, self.rows
+        left_ref, right_ref = self.left_ref, self.right_ref
+        for w in self.ordered_adjs[v]:
+            ei = v * n + w
+            row = rows[w]
+            if ei == self.parent_edge[w]:  # a tree edge
+                row.insert(0, v)  # counterclockwise of the leftmost
+                left_ref[v] = right_ref[v] = w
+                self._embed(w)
+            elif self.side[ei] == 1:  # a back edge: clockwise of right_ref
+                row.insert(row.index(right_ref[w]) + 1, v)
+            else:  # counterclockwise of left_ref
+                row.insert(row.index(left_ref[w]), v)
+                left_ref[w] = v
 
 
 def _conflicting(low, high, b, lowpt) -> bool:

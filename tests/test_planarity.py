@@ -163,7 +163,6 @@ def test_port_matches_networkx_on_seeds_and_witnesses():
             agrees_with_networkx(g.add_edge(u, v))
 
 
-
 def test_port_matches_networkx_on_the_atlas_of_orders_6_and_7():
     import networkx as nx
 
@@ -202,10 +201,9 @@ def stack_depth() -> int:
     return depth
 
 
-def test_port_recurses_at_most_a_few_frames_per_vertex():
-    # the DFS phases recurse once per tree edge, at most n - 1 <= 63 deep
-    # on the largest Graph, and _sign follows one ref chain of at most
-    # 3 * 64 - 6 edges; 100 frames above the caller must suffice
+def test_port_runs_within_100_frames_on_order_64():
+    # the DFS phases recurse once per tree edge, so at most 64 calls deep,
+    # and on these graphs the ref chains _sign follows stay short
     graphs = [path(64), Graph.cycle(64), stacked_triangulation(64)]
     assert graphs[-1].edge_count == 3 * 64 - 6
     graphs += [g.add_edge(0, 32) for g in graphs]
