@@ -9,11 +9,16 @@ An optional vertex colouring constrains the search to colour-preserving
 relabelings, which doubles as an edge-marking device: colouring the two
 endpoints of an edge makes forms comparable per edge orbit.
 
-The search also returns the automorphisms it meets on the way: two leaves
-with equal serializations differ by one, and so do two twin vertices it
-skips.  They need not generate the whole automorphism group, but every
-orbit they give lies inside a true orbit, so a caller may treat elements
-of one such orbit alike (edges in one orbit have equal marked forms).
+The search also returns the automorphisms it meets, and they generate the
+whole colour-preserving automorphism group.  The group maps the search
+tree onto itself, so the leaves with the best serialization are exactly
+the images of the first one met.  The search records the automorphism
+from that leaf to each later leaf that ties it, and skips a branch only
+for a vertex twin to a tried one, recording the swap of the two, which
+fixes the node and carries the skipped branch onto the tried one.  So an
+automorphism a, then recorded swaps, take the first best leaf to a
+visited best leaf, and a recorded tie takes it back: the product fixes a
+discrete partition, so it is the identity, and a lies in their group.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ class CanonicalForm:
     form: bytes
     permutation: tuple[int, ...]  # old label -> canonical label
     # colour-preserving automorphisms found by the search (old -> new
-    # label), each once, in the order met; not necessarily generators of
-    # the whole group
+    # label), each once, in the order met; they generate the whole group
+    # (see the module docstring)
     automorphisms: tuple[tuple[int, ...], ...]
 
 

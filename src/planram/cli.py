@@ -15,12 +15,13 @@ Graphs are read from stdin in graph6 (text lines) or planar_code (binary,
 embedding the generator or construction built; the left-right planarity
 test embeds only graph6 input.  --out is opened before any input is read
 or search starts.  Exit codes: 0 all verified, 1 any refuted, 2 any
-infeasible, 64 usage error.
+infeasible, 64 usage error, 74 output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
+EXIT_IOERR = 74
 
 
 def _read_inputs():
@@ -104,6 +106,7 @@ def _output(path):
     """The --out file, closed on exit, or stdout when no path is given."""
     if not path:
         yield sys.stdout
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
         return
     try:
         out = open(path, "w")
@@ -313,6 +316,13 @@ def main(argv=None):
     except errors.PlanramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        # stdout on the null device, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IOERR
 
 
 if __name__ == "__main__":

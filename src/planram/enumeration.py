@@ -1,34 +1,29 @@
 """Isomorph-free exhaustive generation.
 
 One canonical-construction-path search (McKay 1998), ``_search``, walks
-the tree breadth first, drops per-parent duplicate children by canonical
-form and returns the output sorted by that form.  A child survives iff
-the edge its augmentation created has the least invariant in it and,
-among the edges that tie it, the least marked-pair form.  One walker,
-``_ties``, over the parent's ranked edges drops a candidate an edge
-beats and finds the others' ties; ``_form_if_canonical`` only breaks
-them.  With the per-parent dedup this gives exactly-once emission.
+the tree depth first and returns the output sorted by canonical form.  A
+child survives iff the edge its augmentation created has the least
+invariant in it and, among the edges that tie it, the least marked-pair
+form.  One walker, ``_ties``, over the parent's ranked edges drops a
+candidate an edge beats and finds the others' ties;
+``_form_if_canonical`` only breaks them.
 
 The tie-break computes the child's canonical form, which the search
-needs anyway, and the automorphisms that form's search met.  Edges in
-one orbit of those automorphisms have equal marked forms, because an
-automorphism carrying xy to x'y' is an isomorphism between the graph
-with xy marked and the graph with x'y' marked.  So the rivals in uv's
-orbit are skipped, and one marked form stands for each further orbit.
-The automorphisms may generate only part of the group; then an orbit
-splits into several, each costing a marked form, and the verdict is
-unchanged.
+needs anyway, and the automorphisms that form's search met, which
+generate the child's automorphism group (``canon``).  An automorphism
+carrying xy to x'y' is an isomorphism between the graph with xy marked
+and the graph with x'y' marked, so the rivals in uv's orbit are skipped,
+and one marked form stands for each further orbit.
 
 Each state travels with those automorphisms, and its children are built
-by McKay's per-parent orbit rule: of each orbit of the automorphisms on
-the candidates, only the first, in candidate order, is built.  Every
-filter applied before a child is built is isomorphism-invariant, so the
-candidates are closed under the automorphisms; candidates in one orbit
-give isomorphic children with the same canonicity verdict, so the first
-of each class is still the child kept, with the same rotation, and the
-output keeps its bytes.  An orbit that a partial group splits leaves
-isomorphic siblings, which the dedup drops.  Two augmentation rules
-feed the search:
+by McKay's per-parent orbit rule: only the first candidate of each
+orbit, in candidate order, is built.  Every filter applied before a
+child is built is isomorphism-invariant, so the candidates are closed
+under the automorphisms, and candidates in one orbit give isomorphic
+children with the same verdict.  Two accepted children that are
+isomorphic have created edges (or splits) that an automorphism of the
+parent maps one to the other, so with the whole group each class is
+built exactly once.  Two augmentation rules feed the search:
 
 * C4-free planar graphs of a given order, by edge augmentation from the
   empty graph with rotation systems maintained throughout; the invariant
@@ -163,36 +158,23 @@ class _Budget:
 def _search(roots, visit, budget):
     """The canonical-construction-path search both generators share.
 
-    States are (graph, rotation) pairs.  The tree is walked breadth first
-    from roots, and each state travels with its canonical form and the
-    automorphisms that form's search met.  ``visit(state, automorphisms)``
-    returns whether the state is output and an iterable of
-    (``CanonicalForm``, state) pairs, its canonical children.  It builds
-    one child per orbit of the automorphisms on its candidates (McKay's
-    per-parent orbit rule), so with the whole group no two children are
-    isomorphic; when the automorphisms generate only part of it, an orbit
-    splits, and a child with the same form as an earlier child of the same
-    parent is dropped.  Returns the ``EnumerationResult`` of the output,
+    States are (graph, rotation) pairs.  The tree is walked depth first
+    from roots, with an explicit stack, and each state travels with its
+    ``CanonicalForm``.  ``visit(state, automorphisms)`` returns whether the
+    state is output and an iterable of (``CanonicalForm``, state) pairs,
+    its canonical children, one per isomorphism class (McKay's per-parent
+    orbit rule); they are pushed in reverse, so siblings are visited in
+    candidate order.  Returns the ``EnumerationResult`` of the output,
     sorted by canonical form, with the nodes budget counted.
     """
     out = []
-    frontier = []
-    for root in roots:
-        cf = canonical_form(root[0])
-        frontier.append((cf.form, cf.automorphisms, root))
-    while frontier:
-        nxt = []
-        for form, automorphisms, state in frontier:
-            emit, children = visit(state, automorphisms)
-            if emit:
-                out.append((form, state))
-            seen = set()
-            for cf, child in children:
-                if cf.form in seen:
-                    continue
-                seen.add(cf.form)
-                nxt.append((cf.form, cf.automorphisms, child))
-        frontier = nxt
+    stack = [(canonical_form(root[0]), root) for root in roots]
+    while stack:
+        cf, state = stack.pop()
+        emit, children = visit(state, cf.automorphisms)
+        if emit:
+            out.append((cf.form, state))
+        stack += reversed(list(children))
     out.sort(key=itemgetter(0))
     # children are built unvalidated; the classes leave validated
     return EnumerationResult(tuple(Graph(g.n, g.adj) for _, (g, _) in out),
@@ -207,9 +189,10 @@ def _form_if_canonical(g: Graph, tied):
     tied lists the edges of g that tie the created edge's invariant, the
     least in g: the created edge first, then the others in increasing
     order, as the look-ahead found them.  They are grouped into orbits
-    under the automorphisms g's canonical-form search met: the created
-    edge's orbit is skipped, and one marked form per further orbit is
-    compared with its, stopping at the first that beats it.
+    of g's automorphism group, which the automorphisms g's canonical-form
+    search met generate: the created edge's orbit is skipped, and one
+    marked form per further orbit is compared with its, stopping at the
+    first that beats it.
     """
     cf = canonical_form(g)
     if len(tied) == 1:

@@ -176,21 +176,23 @@ def maximal_c4free_planar(g: Graph) -> bool:
 @cache
 def brute_force_triangulation_count(n: int) -> int:
     """The classes of simple triangulations of order n, found among all
-    graphs with n vertices and 3n - 6 edges."""
+    graphs with n vertices and 3n - 6 edges.
+
+    Such a graph is a triangulation in every plane embedding or in none,
+    so networkx and the face trace are asked once per class."""
     target = 3 * n - 6
     pairs = list(combinations(range(n), 2))
-    seen = set()
+    verdicts = {}  # canonical form -> is a triangulation
     for combo in combinations(range(len(pairs)), target):
         g = Graph.from_edges(n, [pairs[i] for i in combo])
         if g.min_degree() < 3 or not g.is_connected():
             continue
-        rotation = networkx_rotation(g)
-        if rotation is None:
-            continue
-        if any(len(f) != 3 for f in reference_faces(rotation)):
-            continue
-        seen.add(canonical_form(g).form)
-    return len(seen)
+        form = canonical_form(g).form
+        if form not in verdicts:
+            rotation = networkx_rotation(g)
+            verdicts[form] = rotation is not None and all(
+                len(f) == 3 for f in reference_faces(rotation))
+    return sum(verdicts.values())
 
 
 def reference_faces(rotation):
@@ -233,14 +235,14 @@ class Recording:
     states: list  # the (graph, rotation) state of every node visited
     automorphisms: list  # the automorphisms the search hands each state
     built: list  # every child the search builds
-    duplicates: int  # children the per-parent dedup dropped
+    duplicates: int  # children isomorphic to an earlier sibling
 
 
 def recorded_search(task) -> Recording:
     """Run the search of task, C4-free or triangulation, and record every
     node it visits, with its automorphisms, every child it builds (each
-    ``Graph._trusted`` call) and how many children it drops as duplicates
-    of a sibling."""
+    ``Graph._trusted`` call) and how many of its children are isomorphic
+    to an earlier sibling."""
     record = Recording(None, [], [], [], 0)
     search, trusted = enumeration._search, Graph._trusted
 

@@ -3,8 +3,10 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from planram.canon import _refine, canonical_form, marked_pair_form
 from planram.graphs import Graph, bits
@@ -175,6 +177,48 @@ def test_search_finds_automorphisms_of_symmetric_graphs():
     matching = Graph.from_edges(4, [(0, 3), (1, 2)])
     assert canonical_form(matching).automorphisms == (
         (0, 2, 1, 3), (1, 0, 3, 2), (3, 1, 2, 0))
+
+
+def group_order(n, generators):
+    """The order of the permutation group on range(n) that generators
+    generate, by closing the identity under them."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for s in generators:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+def test_automorphisms_generate_the_whole_group():
+    # the count networkx finds by brute force, for every atlas graph of
+    # order 1 to 7, unmarked and with one marked pair
+    rng = random.Random(7)
+    checked = 0
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 1 <= n <= 7:
+            continue
+        g = Graph.from_edges(n, h.edges())
+        marks = [{}]
+        if n >= 2:
+            u, v = rng.sample(range(n), 2)
+            marks.append({u: 1, v: 1})
+        for colors in marks:
+            nx.set_node_attributes(h, {x: colors.get(x, 0) for x in h},
+                                   "colour")
+            matcher = GraphMatcher(
+                h, h, node_match=lambda a, b: a["colour"] == b["colour"])
+            expected = sum(1 for _ in matcher.isomorphisms_iter())
+            cf = canonical_form(g, colors or None)
+            assert group_order(n, cf.automorphisms) == expected, \
+                (list(h.edges()), colors)
+            checked += 1
+    assert checked == 1252 + 1251
 
 
 @st.composite

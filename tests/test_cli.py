@@ -16,13 +16,13 @@ from planram.formats import from_planar_code, rotation_to_graph, to_planar_code
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run(args, stdin=None):
+def run(args, stdin=None, stdout=subprocess.PIPE):
     # the child finds planram in this checkout, whether or not the caller
     # put src on PYTHONPATH
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "planram.cli", *args],
-        input=stdin, capture_output=True, timeout=600,
+        input=stdin, stdout=stdout, stderr=subprocess.PIPE, timeout=600,
         env={**os.environ, "PYTHONPATH": path})
 
 
@@ -306,3 +306,38 @@ def test_budget_cut_prints_an_infeasible_certificate(args):
     cert = json.loads(out.stdout)
     assert cert["verdict"] == "infeasible"
     assert not cert["exhaustive"]
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+def assert_cannot_write(out):
+    # 74, EX_IOERR: never 1, which means refuted, and no traceback
+    assert out.returncode == 74
+    assert b"Traceback" not in out.stderr
+    assert b"error: cannot write output:" in out.stderr
+
+
+def test_closed_pipe_exits_74():
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        out = run(["enumerate", "--n", "7"], stdout=write)
+    finally:
+        os.close(write)
+    assert_cannot_write(out)
+
+
+@needs_dev_full
+def test_full_out_file_exits_74():
+    out = run(["enumerate", "--n", "7", "--out", "/dev/full"])
+    assert_cannot_write(out)
+
+
+@needs_dev_full
+def test_full_stdout_exits_74():
+    # a verified claim whose certificate cannot be written
+    with open("/dev/full", "wb") as full:
+        out = run(["verify", "lemmas", "--n", "6"], stdout=full)
+    assert_cannot_write(out)

@@ -387,16 +387,20 @@ def test_open_candidates_are_closed_under_the_automorphisms():
     assert symmetric > 100
 
 
-def test_sibling_dedup_drops_nothing():
-    # on this traffic the automorphisms each state travels with generate
-    # its whole group, so the orbit rule leaves no two isomorphic siblings
-    # and the per-parent dedup, kept for a partial group, drops none
+def test_orbit_rule_builds_one_child_per_class():
+    # the automorphisms each state travels with generate its whole group,
+    # so the orbit rule leaves no two isomorphic siblings; no dedup stands
+    # behind it, so an isomorphic sibling would reach the output, whose
+    # forms would then repeat
     tasks = [EnumerationTask(n=n, mode="c4free_planar", maximal_only=m)
              for n in range(1, 10) for m in (False, True)]
     tasks += [EnumerationTask(n=12, mode="triangulation"),
               EnumerationTask(n=14, mode="triangulation", min_degree=5)]
     for task in tasks:
-        assert recorded_search(task).duplicates == 0, task
+        record = recorded_search(task)
+        assert record.duplicates == 0, task
+        forms = record.result.forms
+        assert all(a < b for a, b in zip(forms, forms[1:])), task
 
 
 def test_built_children_and_classes_pass_validation():
