@@ -103,8 +103,9 @@ def _refine(adj, cells, work=None):
 def _leaf_key(g: Graph, cells):
     """g's upper-triangle bits under the discrete partition cells, as an
     integer, with the relabelling and its inverse.  Rows are relabelled
-    with reversed positions, so row i's bits above the diagonal are its
-    low n - 1 - i bits, highest first."""
+    with reversed positions, so row i's bits above the diagonal, its
+    neighbours at later positions, are its low n - 1 - i bits, highest
+    first."""
     n = g.n
     perm = [0] * n
     order = [0] * n  # canonical position -> old vertex
@@ -114,16 +115,19 @@ def _leaf_key(g: Graph, cells):
         perm[v] = pos
         order[pos] = v
         rbit[v] = 1 << (n - 1 - pos)
+    adj = g.adj
     key = 0
+    later = (1 << n) - 1  # the vertices at positions after i
     for i in range(n - 1):
+        v = order[i]
+        later ^= 1 << v
         row = 0
-        nbrs = g.adj[order[i]]
+        nbrs = adj[v] & later
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
             row |= rbit[low.bit_length() - 1]
-        width = n - 1 - i
-        key = key << width | row & ((1 << width) - 1)
+        key = key << (n - 1 - i) | row
     return key, tuple(perm), order
 
 
@@ -166,7 +170,13 @@ def _descend(g: Graph, cells, best: list, automorphisms: dict) -> None:
         if cell & (cell - 1):
             tried: list[int] = []
             for v in bits(cell):
-                twin = next((u for u in tried if _twins(adj, u, v)), None)
+                row = adj[v]
+                for twin in tried:
+                    # twins: the same neighbours apart from each other
+                    if not (adj[twin] ^ row) & ~(1 << twin | 1 << v):
+                        break
+                else:
+                    twin = None
                 if twin is not None:
                     # v's branch is twin's with the two swapped
                     swap = list(range(g.n))
@@ -189,11 +199,6 @@ def _descend(g: Graph, cells, best: list, automorphisms: dict) -> None:
     elif key == best[0]:
         # both leaves relabel g to the same graph
         automorphisms[tuple(best[2][p] for p in perm)] = None
-
-
-def _twins(adj, u, v):
-    mask = ~((1 << u) | (1 << v))
-    return adj[u] & mask == adj[v] & mask
 
 
 def marked_pair_form(g: Graph, u: int, v: int) -> bytes:

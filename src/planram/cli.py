@@ -26,12 +26,6 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, errors
-from .construct import (
-    SEED_NAMES,
-    build_delta_witness,
-    build_ramsey_lower_witness,
-    resolve_seed,
-)
 from .formats import (
     from_graph6,
     from_planar_code,
@@ -165,6 +159,12 @@ def cmd_verify(args, out):
 
 
 def cmd_construct(args, out):
+    from .construct import (
+        build_delta_witness,
+        build_ramsey_lower_witness,
+        resolve_seed,
+    )
+
     if args.what == "witness":
         e = build_ramsey_lower_witness(args.wheel)
     elif args.what == "seed":
@@ -228,6 +228,17 @@ def _at_least(low):
     return parse
 
 
+class _SeedHelp(argparse.HelpFormatter):
+    """Fills the seed names in for {seeds} when the help is printed, so
+    that parsing a command line does not load ``construct``; printing
+    ``construct seed --help`` does."""
+
+    def _get_help_string(self, action):
+        from .construct import SEED_NAMES
+
+        return action.help.replace("{seeds}", ", ".join(SEED_NAMES))
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="planram", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -275,10 +286,10 @@ def build_parser():
 
     c = sub.add_parser("construct", help="seed graphs and witnesses")
     csub = c.add_subparsers(dest="what", required=True)
-    cs = csub.add_parser("seed")
+    cs = csub.add_parser("seed", formatter_class=_SeedHelp)
     cs.add_argument("--name", required=True,
-                    help="one of " + ", ".join(SEED_NAMES)
-                    + f", or cycleN for 3 <= N <= {MAX_VERTICES}")
+                    help="one of {seeds}, "
+                    f"or cycleN for 3 <= N <= {MAX_VERTICES}")
     cg = csub.add_parser("grow")
     cg.add_argument("--n", type=int, required=True)
     cw = csub.add_parser("witness")

@@ -55,8 +55,9 @@ built exactly once.  Two augmentation rules feed the search:
   every contractible edge with an end outside the closed neighbourhood
   of the split vertex, since a split changes only degrees and common
   neighbours inside that neighbourhood.  The walk skips a split where
-  such an edge ranks below the created edge and gives the others' ties;
-  a built child ranks only its edges inside that neighbourhood.
+  such an edge ranks below the created edge and gives the others' ties.
+  The edges inside that neighbourhood are then ranked on the child's
+  rows and degrees, and only a split that none of them beats is built.
 
 ``classes`` is the one way the rest of the toolkit asks for a class list:
 it runs each task at most once per process, and answers a maximal_only
@@ -71,7 +72,7 @@ from operator import itemgetter
 
 from . import errors
 from .canon import canonical_form, marked_pair_form
-from .graphs import MAX_VERTICES, Graph, adding_edge_creates_c4, bits
+from .graphs import MAX_VERTICES, Graph, adding_edge_creates_c4
 from .planarity import (
     PlaneEmbedding,
     c4free_edge_cap,
@@ -147,8 +148,8 @@ class _Budget:
         self.limit = limit if limit is not None else DEFAULT_BUDGET
         self.nodes = 0
 
-    def tick(self):
-        self.nodes += 1
+    def tick(self, nodes=1):
+        self.nodes += nodes
         if self.nodes > self.limit:
             raise errors.InfeasibleScale(
                 f"search exceeded budget of {self.limit} nodes"
@@ -244,23 +245,34 @@ def _orbits(automorphisms, items):
     and b.  items must be closed under the automorphisms, as the items one
     isomorphism-invariant rule selects are.
     """
+    root = list(range(len(items)))
+    if not automorphisms or len(items) < 2:
+        return root
     index = {}
     for k, item in enumerate(items):
         index[item] = index[(*item[:-2], item[-1], item[-2])] = k
-    root = list(range(len(items)))
-
-    def find(k):
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
+    columns = list(zip(*items))
     for perm in automorphisms:
         image = perm.__getitem__
-        for k, item in enumerate(items):
-            i, j = find(k), find(index[tuple(map(image, item))])
-            if i != j:
-                root[max(i, j)] = min(i, j)
-    return [find(k) for k in range(len(items))]
+        # the items' images under perm, one column of vertices at a time
+        images = zip(*[map(image, column) for column in columns])
+        for k, j in enumerate(map(index.__getitem__, images)):
+            if j == k:
+                continue  # perm fixes the item
+            i = k
+            while root[i] != i:  # find, halving the path
+                root[i] = i = root[root[i]]
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            # the first item of a merged orbit roots it, so root[k] <= k
+            if i < j:
+                root[j] = i
+            elif j < i:
+                root[i] = j
+    # the roots below k are final by the time k is reached
+    for k, r in enumerate(root):
+        root[k] = root[r]
+    return root
 
 
 # -- C4-free planar graphs ------------------------------------------------
@@ -268,7 +280,9 @@ def _orbits(automorphisms, items):
 
 def _edge_invariant(adj, degs, u: int, v: int):
     du, dv = degs[u], degs[v]
-    return (min(du, dv), max(du, dv), (adj[u] & adj[v]).bit_count())
+    if du > dv:
+        du, dv = dv, du
+    return (du, dv, (adj[u] & adj[v]).bit_count())
 
 
 def enumerate_c4free_planar(
@@ -383,12 +397,14 @@ def _open_edges(g, cap, t, budget):
             rows = list(adj)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            child_degs = list(degs)
-            child_degs[u] += 1
-            child_degs[v] += 1
-            created = _edge_invariant(rows, child_degs, u, v)
+            # the child's degrees: u and v are raised in place
+            degs[u] += 1
+            degs[v] += 1
+            created = _edge_invariant(rows, degs, u, v)
             tied = _ties(ranked, created, 1 << u | 1 << v, _edge_invariant,
-                         rows, child_degs)
+                         rows, degs)
+            degs[u] -= 1
+            degs[v] -= 1
             if tied is not None:
                 yield u, v, tuple(rows), tied
 
@@ -446,6 +462,28 @@ def _k4_embedding():
     return g, rotation
 
 
+def _split_rows(adj, rot_w, w: int, i: int, j: int):
+    """The rows of the child of the triangulation with rows adj when w,
+    whose rotation is rot_w, is split between positions i and j.
+
+    The new vertex takes label n = len(adj); only the rows of w, the
+    moved neighbours and n change.
+    """
+    n = len(adj)
+    move = rot_w[j:] + rot_w[: i + 1]  # goes to the new vertex
+    rows = list(adj)
+    rows.append(1 << w)
+    rows[w] |= 1 << n
+    for m in move:
+        rows[n] |= 1 << m
+        rows[m] |= 1 << n
+    for m in move[1:-1]:
+        # the interior of the moved arc trades w for the new vertex
+        rows[w] &= ~(1 << m)
+        rows[m] &= ~(1 << w)
+    return rows
+
+
 def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
     """Split w between rotation positions i and j; returns (graph, rotation).
 
@@ -457,31 +495,36 @@ def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
     rot_w = rotation[w]
     a, b = rot_w[i], rot_w[j]
     move = rot_w[j:] + rot_w[: i + 1]  # goes to the new vertex
-    rows = list(g.adj) + [1 << w]
-    rows[w] |= 1 << n
     new_rotation = list(rotation) + [move + (w,)]
     new_rotation[w] = rot_w[i : j + 1] + (n,)
-    for m in move:
-        rows[n] |= 1 << m
-        rows[m] |= 1 << n
     for m in move[1:-1]:
-        # the interior of the moved arc trades w for the new vertex
-        rows[w] &= ~(1 << m)
-        rows[m] &= ~(1 << w)
         new_rotation[m] = tuple(n if x == w else x for x in rotation[m])
     # a keeps w and the new vertex slots in after it; b gets it before w
     for x, k in ((a, rotation[a].index(w) + 1), (b, rotation[b].index(w))):
         new_rotation[x] = rotation[x][:k] + (n,) + rotation[x][k:]
+    rows = _split_rows(g.adj, rot_w, w, i, j)
     return Graph._trusted(n + 1, tuple(rows)), tuple(new_rotation)
 
 
-def _contractible_edges(g: Graph, within: int):
-    """The edges of g with both ends in the vertex mask within whose
-    contraction keeps the triangulation simple, in increasing order."""
-    adj = g.adj
-    return [(u, v) for u in bits(within)
-            for v in bits(adj[u] & within >> u + 1 << u + 1)
-            if (adj[u] & adj[v]).bit_count() == 2]
+def _contractible_edges(adj, within: int):
+    """The edges of the triangulation with rows adj with both ends in the
+    vertex mask within whose contraction keeps it simple, in increasing
+    order."""
+    edges = []
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low  # the vertices of within above u
+        u = low.bit_length() - 1
+        row = adj[u]
+        later = row & rest
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            if (row & adj[v]).bit_count() == 2:
+                edges.append((u, v))
+    return edges
 
 
 def _contraction_invariant(adj, degs, u: int, v: int):
@@ -492,7 +535,11 @@ def _contraction_invariant(adj, degs, u: int, v: int):
     low = common & -common
     du, dv = degs[u], degs[v]
     dc, de = degs[low.bit_length() - 1], degs[(common ^ low).bit_length() - 1]
-    return (min(du, dv), max(du, dv), min(dc, de), max(dc, de))
+    if du > dv:
+        du, dv = dv, du
+    if dc > de:
+        dc, de = de, dc
+    return (du, dv, dc, de)
 
 
 def enumerate_triangulations(
@@ -527,40 +574,52 @@ def _children(g, rot, automorphisms, n_target, prune5, budget):
     """The canonical vertex splits of the triangulation g, in split order.
 
     Of the splits that ``_open_splits`` leaves open, only the first of
-    each orbit of g's automorphisms is built.  A split of w at
+    each orbit of g's automorphisms is scanned.  A split of w at
     a = rot[w][i] and b = rot[w][j] is named by w and {a, b}.  A
     triangulation has one embedding up to reflection, so an automorphism
     s maps rot to itself or to its mirror image; either way it carries
     the split to the split of s(w) at s(a) and s(b), whose child is
-    isomorphic.  Each built child is kept, with its canonical form, iff
-    no edge inside N[w] beats its created edge (w, n) and (w, n) wins the
-    tie-break among the edges that tie it, inside N[w] or out.
+    isomorphic.  The scan ranks the child's edges inside N[w] on its rows
+    and degrees, before the child is built, and drops the split when one
+    beats its created edge (w, n).  Each child built is kept, with its
+    canonical form, iff (w, n) wins the tie-break among the edges that
+    tie it, inside N[w] or out.
     """
     n = g.n
+    adj, degs = g.adj, g.degrees()
     splits = list(_open_splits(g, rot, n_target, prune5, budget))
     first = _orbits(automorphisms,
                     [(w, rot[w][i], rot[w][j]) for w, i, j, _, _ in splits])
     for k, (w, i, j, created, tied) in enumerate(splits):
         if first[k] != k:
             continue
-        child, child_rot = _split_vertex(g, rot, w, i, j)
-        inside = _inside_ties(child, w, g.adj[w] | 1 << w | 1 << n, created)
+        rot_w = rot[w]
+        arc = j - i
+        # w and the new vertex take the two halves; a and b gain one each
+        split_degs = degs + [len(rot_w) - arc + 2]
+        split_degs[w] = arc + 2
+        split_degs[rot_w[i]] += 1
+        split_degs[rot_w[j]] += 1
+        inside = _inside_ties(_split_rows(adj, rot_w, w, i, j), split_degs,
+                              w, adj[w] | 1 << w | 1 << n, created)
         if inside is None:
             continue
+        child, child_rot = _split_vertex(g, rot, w, i, j)
         cf = _form_if_canonical(child, [(w, n), *sorted(tied + inside)])
         if cf is not None:
             yield cf, (child, child_rot)
 
 
-def _inside_ties(child, w, within, created):
-    """The contractible edges of the child split from w, other than the
-    created edge, with both ends in within, N[w] in the parent plus the
-    new vertex, whose invariant ties created; None when one ranks below
-    it.  These are the edges the look-ahead cannot rank."""
-    adj, degs = child.adj, child.degrees()
+def _inside_ties(adj, degs, w, within, created):
+    """The contractible edges of the child split from w, with rows adj and
+    degrees degs, other than the created edge, with both ends in within,
+    N[w] in the parent plus the new vertex, whose invariant ties created;
+    None when one ranks below it.  These are the edges the look-ahead
+    cannot rank."""
+    new = len(adj) - 1
     tied = []
-    for x, y in _contractible_edges(child, within):
-        if x == w and y == child.n - 1:
+    for x, y in _contractible_edges(adj, within):
+        if x == w and y == new:
             continue  # the created edge
         inv = _contraction_invariant(adj, degs, x, y)
         if inv < created:
@@ -570,17 +629,29 @@ def _inside_ties(child, w, within, created):
     return tied
 
 
+@cache
+def _halves_shortfall(d: int):
+    """For a split of a vertex of degree d at each arc length 0..d-1, the
+    degree deficiency sum(max(0, 5 - deg)) of the two halves, of degrees
+    arc + 2 and d - arc + 2; and the least of it over the arcs 1..d-1 a
+    split can take."""
+    table = tuple(max(0, 3 - arc) + max(0, 3 - d + arc) for arc in range(d))
+    return table, min(table[1:])
+
+
 def _open_splits(g, rot, n_target, prune5, budget):
     """The splits (w, i, j) of g that survive two tests made on g alone,
     each with its created edge's invariant and the edges with an end
     outside N[w] that tie it.
 
-    Every split ticks the budget once.  With prune5, a split is dropped
+    Every split ticks the budget once; the d(d - 1)/2 splits of a vertex
+    of degree d are ticked together.  With prune5, a split is dropped
     when the degree deficiency sum(max(0, 5 - deg)) left after it exceeds
-    twice the splits remaining.  Then the look-ahead drops a split when
-    some edge of the child would have a strictly smaller contraction
-    invariant than the created edge, a child ``_form_if_canonical``
-    would reject.
+    twice the splits remaining, and a vertex none of whose splits could
+    pass, even with both ends needy, is passed over whole.  Then the
+    look-ahead drops a split when some edge of the child would have a
+    strictly smaller contraction invariant than the created edge, a child
+    ``_children`` or ``_form_if_canonical`` would reject.
 
     The look-ahead is exact for edges with an end outside N[w], the
     closed neighbourhood of w in g.  Splitting w at a = rot_w[i] and
@@ -598,19 +669,25 @@ def _open_splits(g, rot, n_target, prune5, budget):
     short = [max(0, 5 - d) for d in degs]
     spare = 2 * (n_target - (n + 1)) - sum(short)
     needy = [s > 0 for s in short]
-    # g's contractible edges by increasing invariant, each read at its
-    # ends and its two common neighbours
-    ranked = sorted(((_contraction_invariant(adj, degs, x, y), x, y,
-                      1 << x | 1 << y | adj[x] & adj[y])
-                     for x, y in _contractible_edges(g, (1 << n) - 1)),
-                    key=itemgetter(0))
+    ranked = None
     for w in range(n):
         rot_w = rot[w]
         d = len(rot_w)
-        # the deficiency change of a split of w at this arc, before a and
-        # b each gain a degree
-        halves = [max(0, 3 - arc) + max(0, 3 - d + arc) - short[w]
-                  for arc in range(d)]
+        budget.tick(d * (d - 1) // 2)
+        if prune5:
+            halves, least = _halves_shortfall(d)
+            # a split of w passes iff the halves' deficiency, less one for
+            # each needy end, is at most room
+            room = spare + short[w]
+            if least - 2 > room:
+                continue
+        if ranked is None:
+            # g's contractible edges by increasing invariant, each read at
+            # its ends and its two common neighbours
+            edges = _contractible_edges(adj, (1 << n) - 1)
+            ranked = sorted(((_contraction_invariant(adj, degs, x, y), x, y,
+                              1 << x | 1 << y | adj[x] & adj[y])
+                             for x, y in edges), key=itemgetter(0))
         closed = adj[w] | 1 << w
         outside = [r for r in ranked
                    if ((1 << r[1]) | (1 << r[2])) & ~closed]
@@ -619,17 +696,21 @@ def _open_splits(g, rot, n_target, prune5, budget):
             for j in range(i + 1, d):
                 b = rot_w[j]
                 arc = j - i  # halves get degrees arc+2 and d-arc+2, both >= 3
-                budget.tick()
-                if prune5 and halves[arc] - needy[a] - needy[b] > spare:
+                if prune5 and halves[arc] - needy[a] - needy[b] > room:
                     continue
-                da, db = degs[a] + 1, degs[b] + 1
                 d1, d2 = arc + 2, d - arc + 2
-                created = (min(d1, d2), max(d1, d2), min(da, db), max(da, db))
+                if d1 > d2:
+                    d1, d2 = d2, d1
+                da, db = degs[a] + 1, degs[b] + 1
                 # w and the new vertex change degree too, but no edge
-                # outside N[w] reads them
-                split_degs = list(degs)
-                split_degs[a], split_degs[b] = da, db
+                # outside N[w] reads them; a and b are raised in place
+                degs[a], degs[b] = da, db
+                if da > db:
+                    da, db = db, da
+                created = (d1, d2, da, db)
                 tied = _ties(outside, created, 1 << a | 1 << b,
-                             _contraction_invariant, adj, split_degs)
+                             _contraction_invariant, adj, degs)
+                degs[a] -= 1
+                degs[b] -= 1
                 if tied is not None:
                     yield w, i, j, created, tied

@@ -270,3 +270,27 @@ def recorded_search(task) -> Recording:
         else:
             record.result = enumeration.enumerate_c4free_planar(task)
     return record
+
+
+def orbit_closure(automorphisms, items):
+    """For each item, the index of the first item of its orbit, found by
+    closing the item under the automorphisms one image at a time.
+
+    An item is a tuple of vertices whose last two are an unordered pair.
+    Raises KeyError when an image is not among the items."""
+    def key(item):
+        return (*item[:-2], frozenset(item[-2:]))
+
+    index = {key(item): k for k, item in enumerate(items)}
+    first = []
+    for item in items:
+        orbit, todo = {key(item)}, [item]
+        while todo:
+            x = todo.pop()
+            for perm in automorphisms:
+                image = tuple(perm[v] for v in x)
+                if key(image) not in orbit:
+                    orbit.add(key(image))
+                    todo.append(image)
+        first.append(min(index[k] for k in orbit))
+    return first

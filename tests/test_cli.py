@@ -341,3 +341,26 @@ def test_full_stdout_exits_74():
     with open("/dev/full", "wb") as full:
         out = run(["verify", "lemmas", "--n", "6"], stdout=full)
     assert_cannot_write(out)
+
+
+def test_seed_help_names_every_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "seed", "--help"])
+    assert exc.value.code == 0
+    # argparse wraps the help, so compare word by word
+    words = capsys.readouterr().out.replace(",", " ").split()
+    assert all(name in words for name in SEED_NAMES)
+    assert "{seeds}" not in words
+
+
+def test_enumerate_does_not_load_construct():
+    # the seeds and the witness growth are loaded by the construct
+    # command only, so the search commands start without them
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, planram.cli, planram.enumeration; "
+         "print('planram.construct' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert loaded.stdout.strip() == "False"

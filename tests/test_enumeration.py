@@ -37,6 +37,7 @@ from oracles import (
     brute_force_triangulation_count,
     maximal_c4free_planar,
     networkx_is_planar,
+    orbit_closure,
     recorded_search,
     triangulation_check,
 )
@@ -288,8 +289,8 @@ def test_lookahead_rejects_only_noncanonical_splits():
             invariant, outside = opened[g][w, i, j]
             assert invariant == _contraction_invariant(
                 child.adj, child.degrees(), *created)
-            inside = _inside_ties(
-                child, w, g.adj[w] | 1 << w | 1 << g.n, invariant)
+            inside = _inside_ties(child.adj, child.degrees(), w,
+                                  g.adj[w] | 1 << w | 1 << g.n, invariant)
             if inside is not None:
                 tied = [created, *sorted(outside + inside)]
         assert tied == expected, (g, w, i, j)
@@ -301,6 +302,86 @@ def test_lookahead_rejects_only_noncanonical_splits():
     # the look-ahead rejects splits, and leaves some non-canonical ones
     # to the scan inside N[w] or the tie-break
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_lookahead_with_the_deficit_prune_rejects_only_lost_splits():
+    # every split of every inner state of the min-degree-5 search of
+    # order 14, 62,155 splits.  With the prune, a split is dropped iff its
+    # child's deficiency sum(max(0, 5 - deg)) exceeds twice the splits
+    # still to come or an edge of its child ranks below the created one;
+    # otherwise the look-ahead and the scan inside N[w] find exactly the
+    # edges that tie it.  The vertices passed over whole are among these
+    n_target = 14
+    record = recorded_search(
+        EnumerationTask(n=n_target, mode="triangulation", min_degree=5))
+    outcomes = set()
+    checked = 0
+    for g, rot in record.states:
+        if g.n == n_target:
+            continue  # a leaf
+        opened = {split[:3]: split[3:] for split in _open_splits(
+            g, rot, n_target, True, _Budget(None))}
+        for w in range(g.n):
+            for i, j in itertools.combinations(range(len(rot[w])), 2):
+                child, _ = _split_vertex(g, rot, w, i, j)
+                created = (w, g.n)
+                deficit = sum(max(0, 5 - d) for d in child.degrees())
+                expected = None
+                if deficit <= 2 * (n_target - child.n):
+                    expected = reference_ties(
+                        child, created, contractible(child),
+                        reference_contraction_invariant)
+                tied = None
+                if (w, i, j) in opened:
+                    invariant, outside = opened[w, i, j]
+                    assert invariant == _contraction_invariant(
+                        child.adj, child.degrees(), *created)
+                    inside = _inside_ties(
+                        child.adj, child.degrees(), w,
+                        g.adj[w] | 1 << w | 1 << g.n, invariant)
+                    if inside is not None:
+                        tied = [created, *sorted(outside + inside)]
+                assert tied == expected, (g, w, i, j)
+                canonical = tied is not None and \
+                    _form_if_canonical(child, tied) is not None
+                outcomes.add(((w, i, j) in opened, canonical))
+                checked += 1
+    # the search ticks its budget once per split of each inner state
+    assert checked == record.result.nodes_visited == 62155
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_orbits_match_the_closure_oracle(monkeypatch):
+    # every list the searches hand _orbits: each state's candidate edges
+    # or splits, and each child's tie list, grouped by the automorphisms
+    # that come with them, as closing each item under them groups it
+    orbits = enumeration._orbits
+    merged = {2: 0, 3: 0}  # calls whose orbits merge items, by item size
+
+    def checked(automorphisms, items):
+        first = orbits(automorphisms, items)
+        assert first == orbit_closure(automorphisms, items), items
+        if first != list(range(len(items))):
+            merged[len(items[0])] += 1
+        return first
+
+    monkeypatch.setattr(enumeration, "_orbits", checked)
+    # three disjoint pairs: a union that leaves a chain of roots, and a
+    # 3-cycle whose images run up the item order
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    for automorphisms in ([(0, 1, 4, 5, 2, 3), (2, 3, 0, 1, 4, 5)],
+                          [(2, 3, 4, 5, 0, 1)]):
+        assert enumeration._orbits(automorphisms, pairs) == [0, 0, 0]
+    merged[2] = 0
+    for n in range(1, 9):
+        enumerate_c4free_planar(EnumerationTask(n=n, mode="c4free_planar"))
+    c4free = merged[2]
+    assert c4free > 0
+    enumerate_triangulations(EnumerationTask(n=11, mode="triangulation"))
+    enumerate_triangulations(
+        EnumerationTask(n=14, mode="triangulation", min_degree=5))
+    # the triangulation searches merge both splits and tied edges
+    assert merged[3] > 0 and merged[2] > c4free
 
 
 def test_c4free_lookahead_rejects_only_noncanonical_children():
@@ -433,8 +514,8 @@ def test_c4free_children_built_frozen():
 # cannot show a look-ahead that stopped rejecting, or an orbit rule that
 # stopped skipping, this count does
 SPLITS_BUILT = [
-    (EnumerationTask(n=11, mode="triangulation"), 4179),
-    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 1608),
+    (EnumerationTask(n=11, mode="triangulation"), 1762),
+    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 685),
 ]
 
 
@@ -536,6 +617,18 @@ def test_nodes_visited_frozen():
         generate = (enumerate_triangulations if task.mode == "triangulation"
                     else enumerate_c4free_planar)
         assert generate(task).nodes_visited == nodes, task
+
+
+def test_a_budget_of_the_nodes_visited_is_enough():
+    # the triangulation search ticks the splits of each vertex together,
+    # so it must cut at the same total as a tick per split: a budget of
+    # exactly the nodes visited completes, one node less is cut
+    for task, nodes in NODES_VISITED:
+        generate = (enumerate_triangulations if task.mode == "triangulation"
+                    else enumerate_c4free_planar)
+        assert generate(task, budget_nodes=nodes).nodes_visited == nodes
+        with pytest.raises(errors.InfeasibleScale):
+            generate(task, budget_nodes=nodes - 1)
 
 
 def test_budget_exhaustion_raises():
