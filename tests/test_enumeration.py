@@ -61,6 +61,19 @@ STREAM_SHA256 = {
     ("--mode", "triangulation", "--min-degree", "5", "--n", "14"):
         "e938ff88ef9de7134a96791d948a27163a901563d40f79e22de1ac742563ac75",
 }
+# SHA-256 of the concatenated canonical forms of the tasks of STREAM_SHA256:
+# these pin the classes and their order whichever labelled representative
+# of each class is written
+FORMS_SHA256 = {
+    EnumerationTask(n=9, mode="c4free_planar"):
+        "5e72deef87f13a08fc7708f39e960801558edf81511570b2073dae7c5b81c008",
+    EnumerationTask(n=9, mode="c4free_planar", maximal_only=True):
+        "a10d67674a96c7cb48402a7f170e0afc88cb5e7219fe073d0d16f43734e6163c",
+    EnumerationTask(n=10, mode="triangulation"):
+        "b496b7ad01036eccc20814cfa7c428ebcbb8b4c8ebb97d45bffd45a8292e158e",
+    EnumerationTask(n=14, mode="triangulation", min_degree=5):
+        "2167bdf67fc1dc955246147f13f2fdb9540ca1c4f252632b183d7e5ce92ff228",
+}
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
 
 
@@ -99,6 +112,12 @@ def test_enumerate_stream_fingerprint(capsysbinary):
         assert main(["enumerate", *args]) == 0
         stream = capsysbinary.readouterr().out
         assert hashlib.sha256(stream).hexdigest() == digest, args
+
+
+def test_class_forms_fingerprint():
+    for task, digest in FORMS_SHA256.items():
+        forms = b"".join(classes(task).forms)
+        assert hashlib.sha256(forms).hexdigest() == digest, task
 
 
 def test_triangulation_planar_code_embeds_the_graph6_stream(capsysbinary):
