@@ -6,8 +6,10 @@ compatible with an equitable ordered partition.  Two graphs are isomorphic iff
 their forms are equal; the certifying permutation is returned alongside.
 
 An optional vertex colouring constrains the search to colour-preserving
-relabelings, which doubles as an edge-marking device: colouring the two
-endpoints of an edge makes forms comparable per edge orbit.
+relabelings; ``marked_pair_form`` colours the two ends of a pair with it.
+The enumeration computes neither: it reads the labelling and the
+automorphisms of one uncoloured form per graph.  The marked form is kept
+only for the benchmark's trace table and the tests.
 
 The search also returns the automorphisms it meets, and they generate the
 whole colour-preserving automorphism group.  The group maps the search

@@ -3,17 +3,17 @@
 One canonical-construction-path search (McKay 1998), ``_search``, walks
 the tree depth first and returns the output sorted by canonical form.  A
 child survives iff the edge its augmentation created has the least
-invariant in it and, among the edges that tie it, the least marked-pair
-form.  One walker, ``_ties``, over the parent's ranked edges drops a
-candidate an edge beats and finds the others' ties;
+invariant in it and lies in the orbit of the canonical edge: of the
+edges that tie it, the one with the least image under the child's
+canonical labelling.  One walker, ``_ties``, over the parent's ranked
+edges drops a candidate an edge beats and finds the others' ties;
 ``_form_if_canonical`` only breaks them.
 
-The tie-break computes the child's canonical form, which the search
-needs anyway, and the automorphisms that form's search met, which
-generate the child's automorphism group (``canon``).  An automorphism
-carrying xy to x'y' is an isomorphism between the graph with xy marked
-and the graph with x'y' marked, so the rivals in uv's orbit are skipped,
-and one marked form stands for each further orbit.
+The tie-break reads the child's canonical form, which the search needs
+anyway: its labelling names the canonical edge, and the automorphisms
+its search met generate the child's group (``canon``), whose orbits it
+compares.  The canonical labellings of two labellings of one graph
+differ by an automorphism, so the verdict is isomorphism-invariant.
 
 Each state travels with those automorphisms, and its children are built
 by McKay's per-parent orbit rule: only the first candidate of each
@@ -71,7 +71,7 @@ from functools import cache, partial
 from operator import itemgetter
 
 from . import errors
-from .canon import canonical_form, marked_pair_form
+from .canon import canonical_form
 from .graphs import MAX_VERTICES, Graph, adding_edge_creates_c4
 from .planarity import (
     PlaneEmbedding,
@@ -184,29 +184,22 @@ def _search(roots, visit, budget):
 
 
 def _form_if_canonical(g: Graph, tied):
-    """g's ``CanonicalForm`` if the created edge tied[0] has the least
-    marked-pair form among tied, else None.
+    """g's ``CanonicalForm`` if the created edge tied[0] lies in the orbit
+    of g's canonical edge, else None.
 
     tied lists the edges of g that tie the created edge's invariant, the
-    least in g: the created edge first, then the others in increasing
-    order, as the look-ahead found them.  They are grouped into orbits
-    of g's automorphism group, which the automorphisms g's canonical-form
-    search met generate: the created edge's orbit is skipped, and one
-    marked form per further orbit is compared with its, stopping at the
-    first that beats it.
+    least in g, the created edge first.  The canonical edge is the one of
+    them whose image, the sorted pair of its labels under g's canonical
+    labelling, is least.  Its orbit under the group the automorphisms
+    g's canonical-form search met generate is found only when it is not
+    the created edge itself.
     """
     cf = canonical_form(g)
-    if len(tied) == 1:
-        return cf
-    orbit = _orbits(cf.automorphisms, tied)
-    mine = None
-    for k in range(1, len(tied)):
-        if orbit[k] != k:
-            continue  # not the first edge of its orbit
-        if mine is None:
-            mine = marked_pair_form(g, *tied[0])
-        if marked_pair_form(g, *tied[k]) < mine:
-            return None
+    label = cf.permutation
+    images = [sorted((label[x], label[y])) for x, y in tied]
+    best = images.index(min(images))
+    if best and _orbits(cf.automorphisms, tied)[best]:
+        return None  # best's orbit starts after tied[0], so misses it
     return cf
 
 
@@ -344,7 +337,7 @@ def _c4free_children(g, rot, automorphisms, traced, cap, t, budget):
         if first[k] != k:
             continue
         child = Graph._trusted(g.n, rows)
-        cf = _form_if_canonical(child, [(u, v), *sorted(tied)])
+        cf = _form_if_canonical(child, [(u, v), *tied])
         if cf is None:
             continue
         faces, masks = traced()
@@ -605,7 +598,7 @@ def _children(g, rot, automorphisms, n_target, prune5, budget):
         if inside is None:
             continue
         child, child_rot = _split_vertex(g, rot, w, i, j)
-        cf = _form_if_canonical(child, [(w, n), *sorted(tied + inside)])
+        cf = _form_if_canonical(child, [(w, n), *tied, *inside])
         if cf is not None:
             yield cf, (child, child_rot)
 

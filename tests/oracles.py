@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 from unittest import mock
 
 import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from planram import enumeration, errors
 from planram.canon import canonical_form
@@ -159,6 +160,23 @@ def networkx_rotation(g: Graph):
         return None
     return tuple(tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
                  for v in range(g.n))
+
+
+def mckay_canonical_edges(g: Graph, edges, invariant):
+    """The edges McKay's canonical-edge rule accepts as the created edge
+    of g: the orbit of the edge of least invariant(g, x, y) whose labels
+    under g's canonical labelling form the least sorted pair, under every
+    automorphism networkx's matcher finds."""
+    ranks = {e: invariant(g, *e) for e in edges}
+    best = min(ranks.values())
+    least = [e for e, rank in ranks.items() if rank == best]
+    if len(least) == 1:
+        return set(least)  # an automorphism keeps every invariant
+    label = canonical_form(g).permutation
+    x, y = min(least, key=lambda e: sorted(label[v] for v in e))
+    h = to_networkx(g)
+    return {tuple(sorted((perm[x], perm[y])))
+            for perm in GraphMatcher(h, h).isomorphisms_iter()}
 
 
 def maximal_c4free_planar(g: Graph) -> bool:

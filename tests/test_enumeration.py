@@ -2,12 +2,13 @@
 
 import hashlib
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from planram import enumeration, errors
-from planram.canon import canonical_form, marked_pair_form
+from planram.canon import canonical_form
 from planram.cli import main
 from planram.construct import build_ramsey_lower_witness
 from planram.enumeration import (
@@ -36,9 +37,11 @@ from planram.planarity import (
 from oracles import (
     brute_force_triangulation_count,
     maximal_c4free_planar,
+    mckay_canonical_edges,
     networkx_is_planar,
     orbit_closure,
     recorded_search,
+    relabel,
     triangulation_check,
 )
 
@@ -51,13 +54,13 @@ C4FREE_PLANAR_COUNTS = [1, 2, 4, 8, 18, 44, 117, 351]
 # which representatives, in what order, and for planar_code which rotations
 STREAM_SHA256 = {
     ("--n", "9"):
-        "230e0f67565c22911fd3bca6876fe94668f25ad87200087756226c6e7c544b04",
+        "3f085447be7e252929823e2b172a34212b54bbb4034aa779be2cfad83d691c64",
     ("--n", "9", "--maximal-only"):
-        "f25918dc3f19057949c04f88b62ed46ab007219e9550147dc13a3aadcd8f01b9",
+        "110e2570b9d180e1cd42989bfec9231a680fe8fcdb16f4d944340818973952d9",
     ("--n", "9", "--maximal-only", "--format", "planar_code"):
-        "67b2ccf8fb80370d5da12b0305ee04c88514e06e018c35a592f7c6a3e6e3e52e",
+        "c73778356916701fa93b41f2314ec92b1b47a3361442a3c3512e66f71e1aae62",
     ("--mode", "triangulation", "--n", "10", "--format", "planar_code"):
-        "5b5ade133f84f50e0908a521e629c5c8047fad20a1e391334951242e7486eb01",
+        "a576cbfc2c1701f2ac3408aa18aeb8887d902e1422bcb4cbafc267ef353df579",
     ("--mode", "triangulation", "--min-degree", "5", "--n", "14"):
         "e938ff88ef9de7134a96791d948a27163a901563d40f79e22de1ac742563ac75",
 }
@@ -186,17 +189,6 @@ def reference_contraction_invariant(g, u, v):
     return (min(du, dv), max(du, dv), cdeg)
 
 
-def full_canonical_edges(g, edges, invariant):
-    """The canonicity rule computed in full: the edges with the minimal
-    invariant and, among those, the minimal marked form."""
-    invariants = {e: invariant(g, *e) for e in edges}
-    best = min(invariants.values())
-    forms = {e: marked_pair_form(g, *e)
-             for e, inv in invariants.items() if inv == best}
-    least = min(forms.values())
-    return {e for e, form in forms.items() if form == least}
-
-
 def reference_ties(g, created, edges, invariant):
     """The edges that tie created on invariant, created first and then the
     others in increasing order, or None when an edge ranks below it."""
@@ -271,7 +263,7 @@ def test_edge_canonicity_matches_full_rule():
                 child.adj, degs, *e)) for e in edges)
             for (r1, i1), (r2, i2) in zip(ranked, ranked[1:]):
                 assert (r1 == r2) == (i1 == i2) and i1 <= i2
-            canonical = full_canonical_edges(child, edges, reference)
+            canonical = mckay_canonical_edges(child, edges, reference)
             child_form = canonical_form(child)
             for e in edges:
                 tied = reference_ties(child, e, edges, reference)
@@ -282,8 +274,41 @@ def test_edge_canonicity_matches_full_rule():
                 outcomes.add((tied is not None, verdict))
                 checked += 1
         assert checked > 8000
-        # both verdicts occur, including ties that only marked forms decide
+        # both verdicts occur, including ties that the canonical labelling
+        # decides
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_edge_canonicity_survives_relabelling():
+    # isomorphic children must get the same verdict, or a class is built
+    # twice or never: relabel each child of C4-free order 7 and each
+    # triangulation child of order 8 at random, with its tie list, the
+    # rivals in shuffled order, and the verdict on every edge stays
+    rng = random.Random(1)
+    verdicts = set()
+    for children, order in ((c4free_children(8), 7),
+                            (triangulation_children(9), 8)):
+        for child, edges, _, reference in children:
+            if child.n != order:
+                continue
+            perm = list(range(child.n))
+            rng.shuffle(perm)
+            image = relabel(child, perm)
+            for e in edges:
+                tied = reference_ties(child, e, edges, reference)
+                if tied is None:
+                    continue
+                moved = [tuple(sorted((perm[x], perm[y]))) for x, y in tied]
+                rivals = moved[1:]
+                rng.shuffle(rivals)
+                verdict = _form_if_canonical(child, tied) is not None
+                assert verdict == (_form_if_canonical(
+                    image, [moved[0], *rivals]) is not None), (child, e)
+                verdicts.add((child.n, len(tied) > 1, verdict))
+    # both orders have rivals, and a rival wins somewhere
+    assert {n for n, tie, _ in verdicts if tie} == {7, 8}
+    assert {v[1:] for v in verdicts} == {(False, True), (True, False),
+                                         (True, True)}
 
 
 def test_lookahead_rejects_only_noncanonical_splits():
@@ -551,31 +576,6 @@ def test_splits_built_frozen(monkeypatch):
         built = 0
         enumerate_triangulations(task)
         assert built == splits, task
-
-
-# marked-pair forms the canonicity test computes per task; outputs cannot
-# show an orbit skip that stopped working, this count does
-MARKED_FORMS = [
-    (EnumerationTask(n=14, mode="triangulation", min_degree=5), 405),
-    (EnumerationTask(n=8, mode="c4free_planar"), 152),
-]
-
-
-def test_marked_forms_frozen(monkeypatch):
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return marked_pair_form(*args)
-
-    monkeypatch.setattr(enumeration, "marked_pair_form", counting)
-    for task, forms in MARKED_FORMS:
-        calls = 0
-        generate = (enumerate_triangulations if task.mode == "triangulation"
-                    else enumerate_c4free_planar)
-        generate(task)
-        assert calls == forms, task
 
 
 def test_maximal_only_agrees_with_filter():
