@@ -144,15 +144,15 @@ def cmd_enumerate(args, out):
 def cmd_verify(args, out):
     from . import ramsey
 
+    if args.claim == "pr-lower":
+        return _emit_certs([ramsey.verify_pr_lower(args.wheel)], out)
     budget = args.budget_nodes
     if args.claim == "pr-upper":
         certs = [ramsey.verify_pr_upper(args.wheel, args.host, budget)]
-    elif args.claim == "pr-lower":
-        certs = [ramsey.verify_pr_lower(args.wheel, budget)]
     elif args.claim == "delta":
         certs = [ramsey.verify_delta(args.n, budget)]
     elif args.claim == "fact":
-        certs = [ramsey.check_fact(args.id, args.long_running, budget)]
+        certs = [ramsey.check_fact(args.id, budget)]
     else:
         certs = [ramsey.lemma_property_suite(args.n, budget)]
     return _emit_certs(certs, out)
@@ -245,12 +245,11 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, search=False):
-        if search:
+    def common(sp, workers=False):
+        if workers:
             sp.add_argument("--workers", type=_at_least(1), default=1,
                             help="accepted for existing command lines; has "
                             "no effect, every search runs in one process")
-            sp.add_argument("--budget-nodes", type=_at_least(0))
         sp.add_argument("--out", default=None)
 
     e = sub.add_parser("enumerate", help="stream graph classes")
@@ -261,7 +260,7 @@ def build_parser():
     e.add_argument("--maximal-only", action="store_true")
     e.add_argument("--format", choices=["graph6", "planar_code"],
                    default="graph6")
-    common(e, search=True)
+    common(e, workers=True)
     e.set_defaults(func=cmd_enumerate)
 
     v = sub.add_parser("verify", help="emit certificates")
@@ -277,12 +276,14 @@ def build_parser():
     vf.add_argument("--id", required=True,
                     choices=["fact1", "fact2", "fact3",
                              "fact1_property", "fact2_property"])
-    vf.add_argument("--long-running", action="store_true")
     vm = vsub.add_parser("lemmas")
     vm.add_argument("--n", type=int, default=11)
     for sp in (vu, vl, vd, vf, vm):
-        common(sp, search=True)
+        common(sp, workers=True)
         sp.set_defaults(func=cmd_verify)
+    # a budget caps a search; pr-lower loads or grows its witness
+    for sp in (e, vu, vd, vf, vm):
+        sp.add_argument("--budget-nodes", type=_at_least(0))
 
     c = sub.add_parser("construct", help="seed graphs and witnesses")
     csub = c.add_subparsers(dest="what", required=True)

@@ -35,11 +35,11 @@ from .planarity import PlaneEmbedding, edge_identity_residual
 
 SEED_NAMES = (
     "fig8a", "fig8b", "fig8c", "fig8d", "fig8e",
-    "fig10", "fig12a", "fig12b", "fig12c",
+    "fig10", "fig12a", "fig12b", "fig12c", "w3host",
 )
 
 # claimed properties: order, min degree, 4-regular?, guaranteed face length,
-# and for the fig12 family the wheel the complement must avoid
+# and for the wheel witnesses the wheel the complement must avoid
 _CLAIMS = {
     "fig8a": dict(order=30, min_degree=4, regular=True),
     "fig8b": dict(order=36, min_degree=4, big_face=6),
@@ -50,6 +50,7 @@ _CLAIMS = {
     "fig12a": dict(order=8, wheel_free=4),
     "fig12b": dict(order=9, wheel_free=5),
     "fig12c": dict(order=8, wheel_free=6),
+    "w3host": dict(order=9, wheel_free=3),
 }
 
 
@@ -416,22 +417,17 @@ def pr_target(n_wheel: int) -> int:
     return n_wheel + 4
 
 
-def build_ramsey_lower_witness(
-    n_wheel: int, budget_nodes: int | None = None
-) -> PlaneEmbedding:
+def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
     """A C4-free plane graph on pr_target - 1 vertices whose complement
     avoids the wheel, with the rotation it was built with; re-verified by
-    exact search before returning.  budget_nodes caps the W3 host sweep,
-    which raises InfeasibleScale when cut."""
+    exact search before returning."""
     if n_wheel < 3:
         raise errors.UnsupportedOrder("wheels start at W3")
-    order = pr_target(n_wheel) - 1
-    if n_wheel == 3:
-        e = _k4_free_complement_witness(order, budget_nodes)
-    elif n_wheel in (4, 5, 6):
-        e = load_seed({4: "fig12a", 5: "fig12b", 6: "fig12c"}[n_wheel])
+    if n_wheel <= 6:
+        e = load_seed({3: "w3host", 4: "fig12a", 5: "fig12b",
+                       6: "fig12c"}[n_wheel])
     else:
-        e = build_delta_witness(order).embedding
+        e = build_delta_witness(pr_target(n_wheel) - 1).embedding
         # degree argument: complement degrees top out below the rim length
         if e.base.n - 1 - e.base.min_degree() >= n_wheel:
             raise errors.PropertyViolation(
@@ -442,15 +438,3 @@ def build_ramsey_lower_witness(
             f"complement of the order-{e.base.n} witness contains W{n_wheel}"
         )
     return e
-
-
-def _k4_free_complement_witness(order: int, budget_nodes) -> PlaneEmbedding:
-    """The first maximal host whose complement avoids W3, as built."""
-    from .enumeration import EnumerationTask, classes
-
-    task = EnumerationTask(n=order, mode="c4free_planar", maximal_only=True)
-    hosts = classes(task, budget_nodes)
-    for g, rot in zip(hosts.graphs, hosts.embeddings):
-        if contains_wheel(g.complement(), 3) is None:
-            return PlaneEmbedding(g, rot)
-    raise errors.PropertyViolation(f"no order-{order} witness exists")

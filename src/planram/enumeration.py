@@ -120,9 +120,11 @@ def classes(
 ) -> EnumerationResult:
     """The classes of task, generated at most once per process.
 
-    A cached result is returned whatever the budget.  A maximal_only task
-    whose full sweep is cached is answered by filtering that sweep, which
-    holds the same representatives, rotations and order.
+    A budget below the nodes a cached result's search visited cuts it, as
+    it would cut a new search.  A maximal_only task whose full sweep is
+    cached is answered by filtering that sweep, which holds the same
+    representatives, rotations and order: the maximal search walks the
+    same tree, so it visits the same nodes.
     """
     if task not in _CLASSES:
         full = replace(task, maximal_only=False)
@@ -134,13 +136,15 @@ def classes(
             result = EnumerationResult(
                 tuple(whole.graphs[i] for i in keep),
                 tuple(whole.embeddings[i] for i in keep),
-                tuple(whole.forms[i] for i in keep), 0)  # no node visited
+                tuple(whole.forms[i] for i in keep), whole.nodes_visited)
         elif task.mode == "triangulation":
             result = enumerate_triangulations(task, budget_nodes)
         else:
             result = enumerate_c4free_planar(task, budget_nodes)
         _CLASSES[task] = result
-    return _CLASSES[task]
+    result = _CLASSES[task]
+    _Budget(budget_nodes).tick(result.nodes_visited)
+    return result
 
 
 class _Budget:
@@ -477,14 +481,15 @@ def _split_rows(adj, rot_w, w: int, i: int, j: int):
     return rows
 
 
-def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
+def _split_vertex(rotation, w: int, i: int, j: int, rows):
     """Split w between rotation positions i and j; returns (graph, rotation).
 
-    The new vertex takes label n; only w, a, b, the moved neighbours and
-    n are rewritten.  The child is built unvalidated: the census tests
-    assert that the rotation stays a triangulation.
+    rows are the child's rows, ``_split_rows`` of the parent's.  The new
+    vertex takes label n; only w, a, b, the moved neighbours and n are
+    rewritten.  The child is built unvalidated: the census tests assert
+    that the rotation stays a triangulation.
     """
-    n = g.n
+    n = len(rotation)
     rot_w = rotation[w]
     a, b = rot_w[i], rot_w[j]
     move = rot_w[j:] + rot_w[: i + 1]  # goes to the new vertex
@@ -495,7 +500,6 @@ def _split_vertex(g: Graph, rotation, w: int, i: int, j: int):
     # a keeps w and the new vertex slots in after it; b gets it before w
     for x, k in ((a, rotation[a].index(w) + 1), (b, rotation[b].index(w))):
         new_rotation[x] = rotation[x][:k] + (n,) + rotation[x][k:]
-    rows = _split_rows(g.adj, rot_w, w, i, j)
     return Graph._trusted(n + 1, tuple(rows)), tuple(new_rotation)
 
 
@@ -593,11 +597,12 @@ def _children(g, rot, automorphisms, n_target, prune5, budget):
         split_degs[w] = arc + 2
         split_degs[rot_w[i]] += 1
         split_degs[rot_w[j]] += 1
-        inside = _inside_ties(_split_rows(adj, rot_w, w, i, j), split_degs,
-                              w, adj[w] | 1 << w | 1 << n, created)
+        rows = _split_rows(adj, rot_w, w, i, j)
+        inside = _inside_ties(rows, split_degs, w, adj[w] | 1 << w | 1 << n,
+                              created)
         if inside is None:
             continue
-        child, child_rot = _split_vertex(g, rot, w, i, j)
+        child, child_rot = _split_vertex(rot, w, i, j, rows)
         cf = _form_if_canonical(child, [(w, n), *tied, *inside])
         if cf is not None:
             yield cf, (child, child_rot)

@@ -106,15 +106,11 @@ def verify_pr_upper(
     )
 
 
-def verify_pr_lower(n_wheel: int, budget_nodes=None) -> Certificate:
+def verify_pr_lower(n_wheel: int) -> Certificate:
     """Build and independently re-verify a witness on pr_target - 1 vertices."""
     started = time.time()
     claim = f"pr.lower.w{n_wheel}"
-    try:
-        g = build_ramsey_lower_witness(n_wheel, budget_nodes).base
-    except errors.InfeasibleScale:
-        return _finish(claim, started, "infeasible", False,
-                       claimed_pr=pr_target(n_wheel))
+    g = build_ramsey_lower_witness(n_wheel).base
     method = "search" if g.n <= 30 else "degree_argument"
     ok = not contains_c4(g) and is_planar(g)
     if method == "search":
@@ -230,20 +226,12 @@ _FACT_ORDERS = {"fact1": 16, "fact1_property": 16, "fact2": 17,
                 "fact2_property": 17, "fact3": 18}
 
 
-def check_fact(
-    fact_id: str,
-    long_running: bool = False,
-    budget_nodes: int | None = None,
-) -> Certificate:
+def check_fact(fact_id: str, budget_nodes: int | None = None) -> Certificate:
     started = time.time()
     if fact_id not in _FACT_ORDERS:
         raise ValueError(f"unknown fact {fact_id!r}")
     order = _FACT_ORDERS[fact_id]
-    if fact_id == "fact3":
-        if not long_running:
-            return _finish(fact_id, started, "infeasible", False,
-                           needs_long_running=1)
-        # its search visits 36,634,487 nodes, under DEFAULT_BUDGET (50,000,000)
+    # fact3's search visits 36,634,487 nodes, under DEFAULT_BUDGET (50,000,000)
     task = EnumerationTask(n=order, mode="triangulation", min_degree=5)
     try:
         result = classes(task, budget_nodes)

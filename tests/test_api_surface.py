@@ -120,6 +120,26 @@ def test_only_the_generators_skip_graph_validation():
         "enumeration._c4free_children", "enumeration._split_vertex"}
 
 
+def imported_modules(path):
+    """The name of every module an import in the file at path names:
+    ``from . import x`` names x."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            else:
+                yield from (a.name for a in node.names)
+
+
+def test_construct_does_not_import_enumeration():
+    # every wheel witness is a stored seed or grown, so construct runs no
+    # search and takes no node budget
+    assert not [m for m in imported_modules(SRC / "construct.py")
+                if "enumeration" in m.split(".")]
+
+
 def test_no_package_module_imports_networkx():
     # the package tests planarity itself, embeds graph6 input and draws
     # the C4-free children whose new edge no face of the parent's rotation
@@ -128,17 +148,9 @@ def test_no_package_module_imports_networkx():
     assert callers("embed") == {"cli._read_inputs"}
     assert callers("rotation_system") == {
         "planarity.embed", "enumeration._c4free_children"}
-    importers = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "networkx" for m in modules):
-                importers.append(path.stem)
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if any(m.split(".")[0] == "networkx"
+                        for m in imported_modules(path))]
     assert importers == []
     # nor does a dependency load it when the CLI starts
     path = os.pathsep.join(filter(None, [str(SRC.parent),

@@ -11,7 +11,7 @@ import pytest
 from planram import enumeration
 from planram.cli import main
 from planram.construct import SEED_NAMES, build_delta_witness, load_seed
-from planram.formats import from_planar_code, rotation_to_graph, to_planar_code
+from planram.formats import from_planar_code, to_planar_code
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -46,13 +46,6 @@ def test_verify_pr_lower_exit_zero():
     assert out.returncode == 0
     cert = json.loads(out.stdout)
     assert cert["verdict"] == "verified"
-
-
-def test_verify_fact_requires_flag_for_long_runs():
-    out = run(["verify", "fact", "--id", "fact3"])
-    assert out.returncode == 2
-    cert = json.loads(out.stdout)
-    assert cert["verdict"] == "infeasible"
 
 
 def test_identity_pipe():
@@ -146,6 +139,12 @@ def test_usage_error_exit_code():
     for what in (["seed", "--name", "fig10"], ["witness", "--wheel", "5"]):
         out = run(["construct", *what, "--format", "trace"])
         assert out.returncode == 64, what
+        assert out.stdout == b""
+    # fact3 runs under the node budget, and pr-lower runs no search
+    for args in (["fact", "--id", "fact3", "--long-running"],
+                 ["pr-lower", "--wheel", "3", "--budget-nodes", "10"]):
+        out = run(["verify", *args])
+        assert out.returncode == 64, args
         assert out.stdout == b""
 
 
@@ -275,14 +274,9 @@ def test_witness_planar_code_is_the_built_rotation(wheel, capsysbinary):
     assert main(["construct", "witness", "--wheel", str(wheel),
                  "--format", "planar_code"]) == 0
     [rot] = from_planar_code(capsysbinary.readouterr().out)
-    if wheel == 3:
-        # a maximal host of order 9, with the rotation its search carried
-        hosts = enumeration.classes(enumeration.EnumerationTask(
-            n=9, mode="c4free_planar", maximal_only=True))
-        built = dict(zip(hosts.graphs, hosts.embeddings))[
-            rotation_to_graph(rot)]
-    elif wheel <= 6:
-        built = load_seed(("fig12a", "fig12b", "fig12c")[wheel - 4]).rotation
+    if wheel <= 6:
+        built = load_seed(
+            ("w3host", "fig12a", "fig12b", "fig12c")[wheel - 3]).rotation
     else:
         built = build_delta_witness(10).embedding.rotation
     assert rot == built
@@ -296,12 +290,13 @@ def test_infeasible_order_reports_its_own_reason():
 
 
 @pytest.mark.parametrize("args", [
-    ["verify", "delta", "--n", "9"],
-    ["verify", "lemmas", "--n", "7"],
-    ["verify", "fact", "--id", "fact1"],
-], ids=["delta", "lemmas", "fact"])
+    ["verify", "delta", "--n", "9", "--budget-nodes", "10"],
+    ["verify", "lemmas", "--n", "7", "--budget-nodes", "10"],
+    ["verify", "fact", "--id", "fact1", "--budget-nodes", "10"],
+    ["verify", "fact", "--id", "fact3", "--budget-nodes", "1000"],
+], ids=["delta", "lemmas", "fact", "fact3"])
 def test_budget_cut_prints_an_infeasible_certificate(args):
-    out = run([*args, "--budget-nodes", "10"])
+    out = run(args)
     assert out.returncode == 2
     cert = json.loads(out.stdout)
     assert cert["verdict"] == "infeasible"

@@ -19,6 +19,7 @@ from planram.construct import (
     pr_target,
     resolve_seed,
 )
+from planram.enumeration import EnumerationTask, classes
 from planram.formats import to_planar_code
 from planram.graphs import contains_c4, contains_wheel
 from planram.planarity import edge_identity_residual, is_planar, walks
@@ -224,6 +225,17 @@ def test_ramsey_lower_witness_small():
         assert not contains_c4(g)
         assert is_planar(g)
         assert contains_wheel(g.complement(), wheel) is None
+
+
+def test_w3host_is_the_first_w3_free_maximal_host():
+    # the stored W3 witness is the one a sweep of the order-9 maximal
+    # hosts selects: the first, in class order, whose complement has no
+    # W3, with the rotation its search carried
+    hosts = classes(EnumerationTask(n=9, mode="c4free_planar",
+                                    maximal_only=True))
+    first = next(rot for g, rot in zip(hosts.graphs, hosts.embeddings)
+                 if contains_wheel(g.complement(), 3) is None)
+    assert load_seed("w3host").rotation == first
 
 
 def test_gamma_edges_pair_up_at_degree_4_vertices():

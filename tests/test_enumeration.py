@@ -10,7 +10,6 @@ import pytest
 from planram import enumeration, errors
 from planram.canon import canonical_form
 from planram.cli import main
-from planram.construct import build_ramsey_lower_witness
 from planram.enumeration import (
     EnumerationTask,
     _contraction_invariant,
@@ -20,6 +19,7 @@ from planram.enumeration import (
     _inside_ties,
     _open_edges,
     _open_splits,
+    _split_rows,
     _split_vertex,
     classes,
     enumerate_c4free_planar,
@@ -170,12 +170,15 @@ def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
 
     monkeypatch.setattr(enumeration, "enumerate_c4free_planar", traversal)
     monkeypatch.setattr(enumeration, "rotation_system", embedding)
-    # the W3 lower witness is a maximal host of order 9
-    assert build_ramsey_lower_witness(3).base.n == 9
     filtered = classes(maximal)
     assert filtered.graphs == direct.graphs
     assert filtered.embeddings == direct.embeddings
     assert filtered.forms == direct.forms
+    # the maximal search walks the full sweep's tree, so a budget cuts
+    # the filtered classes where it cuts the search
+    assert filtered.nodes_visited == direct.nodes_visited == 32984
+    with pytest.raises(errors.InfeasibleScale):
+        classes(maximal, budget_nodes=32983)
 
 
 def reference_edge_invariant(g, u, v):
@@ -241,11 +244,17 @@ def triangulation_splits(n_max):
                     yield g, rot, w, i, j
 
 
+def split(g, rot, w, i, j):
+    """The child of the triangulation g with rotation rot when w is split
+    between rotation positions i and j."""
+    return _split_vertex(rot, w, i, j, _split_rows(g.adj, rot[w], w, i, j))[0]
+
+
 def triangulation_children(n_max):
     """Every vertex split of every triangulation class of order 4 to
     n_max - 1, with the contractible edges the triangulation search ranks."""
     for g, rot, w, i, j in triangulation_splits(n_max):
-        child, _ = _split_vertex(g, rot, w, i, j)
+        child = split(g, rot, w, i, j)
         yield (child, contractible(child), _contraction_invariant,
                reference_contraction_invariant)
 
@@ -323,7 +332,7 @@ def test_lookahead_rejects_only_noncanonical_splits():
         if g not in opened:
             opened[g] = {split[:3]: split[3:] for split in _open_splits(
                 g, rot, 11, False, _Budget(None))}
-        child, _ = _split_vertex(g, rot, w, i, j)
+        child = split(g, rot, w, i, j)
         created = (w, g.n)
         edges = contractible(child)
         expected = reference_ties(child, created, edges,
@@ -367,7 +376,7 @@ def test_lookahead_with_the_deficit_prune_rejects_only_lost_splits():
             g, rot, n_target, True, _Budget(None))}
         for w in range(g.n):
             for i, j in itertools.combinations(range(len(rot[w])), 2):
-                child, _ = _split_vertex(g, rot, w, i, j)
+                child = split(g, rot, w, i, j)
                 created = (w, g.n)
                 deficit = sum(max(0, 5 - d) for d in child.degrees())
                 expected = None

@@ -320,7 +320,7 @@ def test_walks_match_the_reference_tracer():
     for n in range(4, 9):
         r = enumerate_triangulations(EnumerationTask(n=n, mode="triangulation"))
         states += zip(r.graphs, r.embeddings)
-    assert len(states) == 9 + 545 + 23
+    assert len(states) == len(SEED_NAMES) + 545 + 23
     for g, rot in states:
         assert walks(rot) == reference_faces(rot)
         if not g.is_connected():

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from planram import enumeration, errors, ramsey
-from planram.cli import main
 from planram.formats import from_graph6
 from planram.graphs import (
     Graph,
@@ -28,28 +27,29 @@ def test_certificate_json_is_canonical():
     assert isinstance(payload["runtime_ms"], int)
 
 
-def test_pr_lower_budget_cut_is_infeasible(monkeypatch, capsys):
-    # a cached sweep is returned whatever the budget, so start from none
-    monkeypatch.setattr(enumeration, "_CLASSES", {})
-    cert = ramsey.verify_pr_lower(3, budget_nodes=10)
-    assert cert.verdict == "infeasible"
-    assert not cert.exhaustive
-    assert main(["verify", "pr-lower", "--wheel", "3",
-                 "--budget-nodes", "10"]) == 2
-    assert json.loads(capsys.readouterr().out)["verdict"] == "infeasible"
+def test_witnesses_revalidate_independently():
+    for wheel in (3, 4, 5, 6):
+        cert = ramsey.verify_pr_lower(wheel)
+        g = from_graph6(cert.witnesses[0])
+        assert not contains_c4(g)
+        assert is_planar(g)
+        assert contains_wheel(g.complement(), wheel) is None
     assert ramsey.verify_pr_lower(3).payload() == {
         "claim_id": "pr.lower.w3", "verdict": "verified", "exhaustive": True,
         "witnesses": ["H{CYOCB"], "version": "1.0.0",
         "counts": {"by_search": 1, "claimed_pr": 10, "witness_order": 9}}
 
 
-def test_witnesses_revalidate_independently():
-    for wheel in (4, 5, 6):
-        cert = ramsey.verify_pr_lower(wheel)
-        g = from_graph6(cert.witnesses[0])
-        assert not contains_c4(g)
-        assert is_planar(g)
-        assert contains_wheel(g.complement(), wheel) is None
+def test_a_budget_cuts_a_warm_cache(monkeypatch):
+    # a budget too small for a search cuts it whether or not its classes
+    # are cached, as it cuts a cold one
+    monkeypatch.setattr(enumeration, "_CLASSES", {})
+    for claim in (lambda budget: ramsey.verify_pr_upper(4, 9, budget),
+                  lambda budget: ramsey.lemma_property_suite(7, budget)):
+        assert claim(None).verdict == "verified"
+        cut = claim(10)
+        assert cut.verdict == "infeasible"
+        assert not cut.exhaustive
 
 
 def test_pr_upper_small_verified():
@@ -197,9 +197,12 @@ def test_fact_property_predicates_on_reference_lists():
     assert sum(s == [5] * 12 + [6] * 5 for s in seqs) == 3
 
 
-def test_fact_infeasible_without_flag():
-    cert = ramsey.check_fact("fact3", long_running=False)
+def test_fact3_budget_cut_is_infeasible():
+    # the search itself is cut, as every other search is
+    cert = ramsey.check_fact("fact3", budget_nodes=0)
     assert cert.verdict == "infeasible"
+    assert not cert.exhaustive
+    assert cert.counts == {"order": 18}
 
 
 def test_unknown_fact():
