@@ -245,11 +245,7 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, workers=False):
-        if workers:
-            sp.add_argument("--workers", type=_at_least(1), default=1,
-                            help="accepted for existing command lines; has "
-                            "no effect, every search runs in one process")
+    def common(sp):
         sp.add_argument("--out", default=None)
 
     e = sub.add_parser("enumerate", help="stream graph classes")
@@ -260,7 +256,7 @@ def build_parser():
     e.add_argument("--maximal-only", action="store_true")
     e.add_argument("--format", choices=["graph6", "planar_code"],
                    default="graph6")
-    common(e, workers=True)
+    common(e)
     e.set_defaults(func=cmd_enumerate)
 
     v = sub.add_parser("verify", help="emit certificates")
@@ -279,7 +275,10 @@ def build_parser():
     vm = vsub.add_parser("lemmas")
     vm.add_argument("--n", type=int, default=11)
     for sp in (vu, vl, vd, vf, vm):
-        common(sp, workers=True)
+        sp.add_argument("--workers", type=_at_least(1), default=1,
+                        help="accepted for existing command lines; has no "
+                        "effect, every search runs in one process")
+        common(sp)
         sp.set_defaults(func=cmd_verify)
     # a budget caps a search; pr-lower loads or grows its witness
     for sp in (e, vu, vd, vf, vm):

@@ -419,22 +419,21 @@ def pr_target(n_wheel: int) -> int:
 
 def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
     """A C4-free plane graph on pr_target - 1 vertices whose complement
-    avoids the wheel, with the rotation it was built with; re-verified by
-    exact search before returning."""
+    avoids the wheel, with the rotation it was built with.
+
+    Up to W6 the witness is a stored seed, whose wheel-free complement
+    ``load_seed`` checks by exact search.  From W7 on it is grown, and
+    the degree argument rules out a hub: no complement degree reaches
+    the rim length.
+    """
     if n_wheel < 3:
         raise errors.UnsupportedOrder("wheels start at W3")
     if n_wheel <= 6:
-        e = load_seed({3: "w3host", 4: "fig12a", 5: "fig12b",
-                       6: "fig12c"}[n_wheel])
-    else:
-        e = build_delta_witness(pr_target(n_wheel) - 1).embedding
-        # degree argument: complement degrees top out below the rim length
-        if e.base.n - 1 - e.base.min_degree() >= n_wheel:
-            raise errors.PropertyViolation(
-                "witness degrees leave room for a hub; wrong schedule"
-            )
-    if contains_wheel(e.base.complement(), n_wheel) is not None:
+        return load_seed({3: "w3host", 4: "fig12a", 5: "fig12b",
+                          6: "fig12c"}[n_wheel])
+    e = build_delta_witness(pr_target(n_wheel) - 1).embedding
+    if e.base.n - 1 - e.base.min_degree() >= n_wheel:
         raise errors.PropertyViolation(
-            f"complement of the order-{e.base.n} witness contains W{n_wheel}"
+            "witness degrees leave room for a hub; wrong schedule"
         )
     return e

@@ -58,15 +58,11 @@ built exactly once.  Two augmentation rules feed the search:
   such an edge ranks below the created edge and gives the others' ties.
   The edges inside that neighbourhood are then ranked on the child's
   rows and degrees, and only a split that none of them beats is built.
-
-``classes`` is the one way the rest of the toolkit asks for a class list:
-it runs each task at most once per process, and answers a maximal_only
-task from a cached full sweep by the masks of its carried rotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from operator import itemgetter
 
@@ -112,39 +108,13 @@ class EnumerationResult:
     nodes_visited: int
 
 
-_CLASSES: dict[EnumerationTask, EnumerationResult] = {}
-
-
 def classes(
     task: EnumerationTask, budget_nodes: int | None = None
 ) -> EnumerationResult:
-    """The classes of task, generated at most once per process.
-
-    A budget below the nodes a cached result's search visited cuts it, as
-    it would cut a new search.  A maximal_only task whose full sweep is
-    cached is answered by filtering that sweep, which holds the same
-    representatives, rotations and order: the maximal search walks the
-    same tree, so it visits the same nodes.
-    """
-    if task not in _CLASSES:
-        full = replace(task, maximal_only=False)
-        if task.maximal_only and full in _CLASSES:
-            whole = _CLASSES[full]
-            keep = [i for i, rot in enumerate(whole.embeddings)
-                    if is_maximal_c4free_planar(whole.graphs[i],
-                                                cofacial_masks(rot))]
-            result = EnumerationResult(
-                tuple(whole.graphs[i] for i in keep),
-                tuple(whole.embeddings[i] for i in keep),
-                tuple(whole.forms[i] for i in keep), whole.nodes_visited)
-        elif task.mode == "triangulation":
-            result = enumerate_triangulations(task, budget_nodes)
-        else:
-            result = enumerate_c4free_planar(task, budget_nodes)
-        _CLASSES[task] = result
-    result = _CLASSES[task]
-    _Budget(budget_nodes).tick(result.nodes_visited)
-    return result
+    """The classes of task, from the generator of its mode."""
+    if task.mode == "triangulation":
+        return enumerate_triangulations(task, budget_nodes)
+    return enumerate_c4free_planar(task, budget_nodes)
 
 
 class _Budget:

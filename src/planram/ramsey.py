@@ -28,7 +28,7 @@ from .construct import (
     delta_target,
     pr_target,
 )
-from .enumeration import EnumerationTask, classes
+from .enumeration import DEFAULT_BUDGET, EnumerationTask, classes
 from .formats import from_graph6, to_graph6
 from .graphs import Graph, bits, contains_c4, contains_wheel, cycle_of_length
 from .planarity import is_planar
@@ -355,14 +355,18 @@ def lemma_property_suite(
     violations = []
     checked = dict(lemma15=0, lemma16=0, lemma17=0, pancyclic=0)
     exhaustive = True
+    # one budget caps the whole sweep: each order gets what the orders
+    # before it left
+    left = DEFAULT_BUDGET if budget_nodes is None else budget_nodes
     for n in range(2, n_max + 1):
         task = EnumerationTask(n=n, mode="c4free_planar")
         try:
-            graphs = classes(task, budget_nodes).graphs
+            result = classes(task, left)
         except errors.InfeasibleScale:
             exhaustive = False  # the budget cut the sweep at order n
             break
-        for g in graphs:
+        left -= result.nodes_visited
+        for g in result.graphs:
             comp = g.complement()
             # Lemma 15: the complement has independence number at most 3.
             # This check cannot fail here: K4 contains a C4, so no
@@ -386,6 +390,7 @@ def lemma_property_suite(
                 checked["lemma17"] += 1
                 if n - 1 >= 6 and not has[-1]:
                     violations.append(("lemma17", to_graph6(g)))
+        del result  # free this order's classes before the next search
     if violations:
         verdict = "refuted"
     else:

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from planram import enumeration, errors, ramsey
+from planram import errors, ramsey
 from planram.canon import canonical_form
 from planram.construct import (
     build_delta_witness,
@@ -55,12 +55,24 @@ def c4free_planar(n):
 
 
 @pytest.fixture(scope="module")
-def warm_sweeps():
-    """Fill the shared enumeration cache once; the upper-bound hosts are
-    then derived by filtering instead of a second traversal."""
-    for n in range(2, 12):
-        c4free_planar(n)
-    return enumeration._CLASSES
+def searched():
+    """The classes ``ramsey`` got for each (task, budget) in this module."""
+    return {}
+
+
+@pytest.fixture
+def shared_sweeps(searched, monkeypatch):
+    """Answer a claim's request for classes from an earlier search of the
+    same task under the same budget, so criteria that check two claims on
+    one sweep run it once; a budget cut is never answered from a search
+    that ran under another budget."""
+    def memo(task, budget_nodes=None):
+        key = task, budget_nodes
+        if key not in searched:
+            searched[key] = classes(task, budget_nodes)
+        return searched[key]
+
+    monkeypatch.setattr(ramsey, "classes", memo)
 
 
 @pytest.mark.xfail(
@@ -69,7 +81,7 @@ def warm_sweeps():
     "C4-free planar counterexamples exist from order 2 up, and the "
     "residual is embedding-dependent from order 9",
 )
-def test_criterion_1_edge_identity(warm_sweeps):
+def test_criterion_1_edge_identity():
     # all seed graphs do balance
     seed_ok = all(
         edge_identity_residual(load_seed(name)) == 0
@@ -105,7 +117,7 @@ def test_criterion_1_edge_identity(warm_sweeps):
         "embeddings where every triangle edge lies on a 3-face")
 
 
-def test_criterion_2_triangulation_facts():
+def test_criterion_2_triangulation_facts(shared_sweeps):
     c1 = ramsey.check_fact("fact1")
     p1 = ramsey.check_fact("fact1_property")
     c2 = ramsey.check_fact("fact2")
@@ -160,7 +172,7 @@ def test_criterion_3_triangulation_census():
         "sequence as 14 and 50, not 12 and 34)")
 
 
-def test_criterion_4_small_ramsey_numbers(warm_sweeps):
+def test_criterion_4_small_ramsey_numbers(shared_sweeps):
     results = {}
     ok = True
     for wheel in (3, 4, 5, 6, 7):
@@ -293,7 +305,7 @@ def test_criterion_6_operation_soundness():
     assert ok
 
 
-def test_criterion_7_lemma_suite(warm_sweeps):
+def test_criterion_7_lemma_suite():
     cert = ramsey.lemma_property_suite(n_max=11)
     ok = cert.verdict == "verified" and cert.counts["violations"] == 0
     report(7, ok,
@@ -305,19 +317,16 @@ def test_criterion_7_lemma_suite(warm_sweeps):
     assert ok
 
 
-def test_criterion_8_determinism(warm_sweeps, monkeypatch):
+def test_criterion_8_determinism():
     def certificates():
         return [ramsey.verify_pr_upper(6, 9), ramsey.verify_delta(8),
                 ramsey.lemma_property_suite(8)]
 
-    warm = certificates()
-    # on a cleared cache the maximal hosts come from their own traversal
-    # instead of a filtered full sweep
-    monkeypatch.setattr(enumeration, "_CLASSES", {})
-    cold = certificates()
-    ok = all(a.payload() == b.payload() for a, b in zip(warm, cold))
+    # each run searches afresh
+    first = certificates()
+    second = certificates()
+    ok = all(a.payload() == b.payload() for a, b in zip(first, second))
     ok &= ramsey.verify_delta(33).verdict == "infeasible"
-    report(8, ok, f"{len(warm)} certificates byte-identical modulo runtime "
-           "on a warm and a cleared enumeration cache; delta.n33 stays "
-           "infeasible")
+    report(8, ok, f"{len(first)} certificates byte-identical modulo runtime "
+           "over two runs; delta.n33 stays infeasible")
     assert ok

@@ -230,3 +230,39 @@ def test_the_search_computes_one_canonical_form_per_graph(monkeypatch):
         built = len(recorded_search(task).built)
         assert len(colourings) == calls == built + 1, task
         assert not any(colourings), task
+
+
+def module_level_stores(source):
+    """'function:line' for each store a function of the module in source
+    makes into one of its module-level names: an item assignment or
+    deletion, or a ``global`` statement."""
+    tree = ast.parse(source)
+    shared = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            shared |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global) or (
+                    isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in shared):
+                found.add(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def test_no_function_stores_into_a_module_level_name():
+    # a CLI process serves one request, so no result outlives its call:
+    # a process-wide result cache cannot grow back
+    assert module_level_stores(
+        "_MEMO = {}\ndef f(k):\n    _MEMO[k] = k\n"
+        "def g():\n    global _N\n    _N = 1\n") == {"f:3", "g:5"}
+    found = {f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in module_level_stores(path.read_text())}
+    assert not found, found

@@ -34,13 +34,6 @@ def test_enumerate_graph6_stream():
     assert len(lines) == len(set(lines)) == 18
 
 
-def test_enumerate_worker_invariance():
-    one = run(["enumerate", "--n", "6"])
-    three = run(["enumerate", "--n", "6", "--workers", "3"])
-    assert one.returncode == three.returncode == 0
-    assert one.stdout == three.stdout
-
-
 def test_verify_pr_lower_exit_zero():
     out = run(["verify", "pr-lower", "--wheel", "6"])
     assert out.returncode == 0
@@ -168,6 +161,14 @@ def test_workers_below_one_is_a_usage_error():
             assert out.returncode == 64, (args, flag)
             assert out.stdout == b""
             assert flag.encode() in out.stderr
+
+
+def test_enumerate_takes_no_workers():
+    # only verify still accepts --workers, for existing command lines
+    out = run(["enumerate", "--n", "5", "--workers", "2"])
+    assert out.returncode == 64
+    assert out.stdout == b""
+    assert b"--workers" in out.stderr
 
 
 def test_enumerate_planar_code_needs_maximal_only_in_c4free_mode():

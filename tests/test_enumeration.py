@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -153,32 +152,6 @@ def test_forms_are_the_canonical_forms_in_increasing_order():
         for r in results:
             assert r.forms == tuple(canonical_form(g).form for g in r.graphs)
             assert all(a < b for a, b in zip(r.forms, r.forms[1:]))
-
-
-def test_maximal_classes_filter_a_cached_full_sweep(monkeypatch):
-    monkeypatch.setattr(enumeration, "_CLASSES", {})
-    full = EnumerationTask(n=9, mode="c4free_planar")
-    maximal = replace(full, maximal_only=True)
-    direct = enumerate_c4free_planar(maximal)
-    classes(full)
-
-    def traversal(*args, **kwargs):
-        raise AssertionError("the full sweep is cached; no traversal needed")
-
-    def embedding(*args, **kwargs):
-        raise AssertionError("the filter reads the carried rotations")
-
-    monkeypatch.setattr(enumeration, "enumerate_c4free_planar", traversal)
-    monkeypatch.setattr(enumeration, "rotation_system", embedding)
-    filtered = classes(maximal)
-    assert filtered.graphs == direct.graphs
-    assert filtered.embeddings == direct.embeddings
-    assert filtered.forms == direct.forms
-    # the maximal search walks the full sweep's tree, so a budget cuts
-    # the filtered classes where it cuts the search
-    assert filtered.nodes_visited == direct.nodes_visited == 32984
-    with pytest.raises(errors.InfeasibleScale):
-        classes(maximal, budget_nodes=32983)
 
 
 def reference_edge_invariant(g, u, v):

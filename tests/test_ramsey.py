@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planram import enumeration, errors, ramsey
+from planram import construct, enumeration, errors, ramsey
 from planram.formats import from_graph6
 from planram.graphs import (
     Graph,
@@ -40,16 +40,40 @@ def test_witnesses_revalidate_independently():
         "counts": {"by_search": 1, "claimed_pr": 10, "witness_order": 9}}
 
 
-def test_a_budget_cuts_a_warm_cache(monkeypatch):
-    # a budget too small for a search cuts it whether or not its classes
-    # are cached, as it cuts a cold one
-    monkeypatch.setattr(enumeration, "_CLASSES", {})
+def test_a_budget_cuts_the_search():
     for claim in (lambda budget: ramsey.verify_pr_upper(4, 9, budget),
                   lambda budget: ramsey.lemma_property_suite(7, budget)):
         assert claim(None).verdict == "verified"
         cut = claim(10)
         assert cut.verdict == "infeasible"
         assert not cut.exhaustive
+
+
+def test_one_budget_caps_the_whole_lemma_sweep():
+    total = sum(enumeration.classes(enumeration.EnumerationTask(
+        n=n, mode="c4free_planar")).nodes_visited for n in range(2, 8))
+    assert total == 1 + 6 + 28 + 113 + 454 + 1746 == 2348
+    assert ramsey.lemma_property_suite(7, total).verdict == "verified"
+    cut = ramsey.lemma_property_suite(7, total - 1)
+    assert cut.verdict == "infeasible"
+    assert not cut.exhaustive
+
+
+def test_pr_lower_wheel_search_count(monkeypatch):
+    # a seed's wheel-free complement is searched by load_seed, a grown
+    # witness needs none, and verify_pr_lower searches only up to order 30
+    searches = []
+
+    def counting(g, m):
+        searches.append(m)
+        return contains_wheel(g, m)
+
+    monkeypatch.setattr(construct, "contains_wheel", counting)
+    monkeypatch.setattr(ramsey, "contains_wheel", counting)
+    for wheel, expected in ((3, 2), (7, 1), (40, 0)):
+        searches.clear()
+        assert ramsey.verify_pr_lower(wheel).verdict == "verified"
+        assert len(searches) == expected, wheel
 
 
 def test_pr_upper_small_verified():
@@ -101,14 +125,12 @@ def test_delta_rejects_small_order():
         ramsey.verify_delta(4)
 
 
-def test_determinism_across_worker_counts(monkeypatch):
-    # every search runs in one process; what remains to hold is that a
-    # certificate does not depend on what the enumeration cache holds
-    base = ramsey.verify_pr_upper(6, 9)
-    d1 = ramsey.verify_delta(8)
-    monkeypatch.setattr(enumeration, "_CLASSES", {})
-    assert ramsey.verify_pr_upper(6, 9).payload() == base.payload()
-    assert ramsey.verify_delta(8).payload() == d1.payload()
+def test_determinism_across_worker_counts():
+    # every search runs in one process; what remains to hold is that two
+    # runs of one claim give the same certificate
+    for claim in (lambda: ramsey.verify_pr_upper(6, 9),
+                  lambda: ramsey.verify_delta(8)):
+        assert claim().payload() == claim().payload()
 
 
 def test_maximality_reduction_cross_check():
