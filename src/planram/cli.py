@@ -211,7 +211,7 @@ def cmd_stats(args, out):
             faces = "-"  # disconnected or empty: no single plane embedding
         out.write(
             f"n={g.n} eps={g.edge_count} degrees={_degree_string(g)} "
-            f"tau={gamma(g).tau} faces={faces}\n"
+            f"tau={len(gamma(g))} faces={faces}\n"
         )
     return EXIT_OK
 

@@ -229,6 +229,15 @@ class WheelWitness:
     rim: tuple[int, ...]
 
 
+def check_wheel_fits(m: int, n: int) -> None:
+    """Raise BadInput unless an m-cycle rim makes a wheel (m >= 3) and
+    that wheel fits in a graph on n vertices."""
+    if m < 3:
+        raise errors.BadInput("rim length must be >= 3")
+    if m + 1 > n:
+        raise errors.BadInput(f"wheel on {m + 1} vertices cannot fit in {n}")
+
+
 def contains_wheel(g: Graph, m: int):
     """Search for a wheel with an m-cycle rim; returns a witness or None.
 
@@ -236,10 +245,7 @@ def contains_wheel(g: Graph, m: int):
     an m-cycle inside the subgraph induced by its neighbourhood by exact
     search, so every positive answer carries a verifiable witness.
     """
-    if m < 3:
-        raise errors.BadInput("rim length must be >= 3")
-    if m + 1 > g.n:
-        raise errors.BadInput(f"wheel on {m + 1} vertices cannot fit in {g.n}")
+    check_wheel_fits(m, g.n)
     hubs = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for hub in hubs:
         if g.degree(hub) < m:

@@ -463,22 +463,11 @@ def _lowest(P, lowpt) -> int:
 # -- triangle cover ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaReport:
-    """Edges covered by no triangle, and their count."""
-
-    gamma_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def tau(self) -> int:
-        return len(self.gamma_edges)
-
-
-def gamma(g: Graph) -> GammaReport:
-    """Triangle-free edge set; independent of any embedding."""
-    return GammaReport(tuple(
+def gamma(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The edges in no triangle; independent of any embedding."""
+    return tuple(
         (u, v) for u, v in g.edges() if not g.adj[u] & g.adj[v]
-    ))
+    )
 
 
 # -- vertex-edge-dual ----------------------------------------------------
@@ -517,7 +506,7 @@ def edge_identity_residual(e: PlaneEmbedding) -> int:
     g = e.base  # connected, as every PlaneEmbedding's is
     if contains_c4(g):
         raise errors.NotC4Free("identity requires a C4-free base graph")
-    tau = gamma(g).tau
+    tau = len(gamma(g))
     penalty = sum(3 * (len(f) - 5) for f in e.faces if len(f) >= 6)
     return 7 * g.edge_count - (15 * (g.n - 2) - 2 * tau - penalty)
 

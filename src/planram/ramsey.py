@@ -28,9 +28,16 @@ from .construct import (
     delta_target,
     pr_target,
 )
-from .enumeration import DEFAULT_BUDGET, EnumerationTask, classes
+from .enumeration import EnumerationTask, classes
 from .formats import from_graph6, to_graph6
-from .graphs import Graph, bits, contains_c4, contains_wheel, cycle_of_length
+from .graphs import (
+    Graph,
+    bits,
+    check_wheel_fits,
+    contains_c4,
+    contains_wheel,
+    cycle_of_length,
+)
 from .planarity import is_planar
 
 VERSION = "1.0.0"
@@ -84,6 +91,7 @@ def verify_pr_upper(
     in its complement?  Swept over maximal hosts only (see module docstring)."""
     started = time.time()
     claim = f"pr.upper.w{n_wheel}.n{host_order}"
+    check_wheel_fits(n_wheel, host_order)
     if host_order > ENUMERATION_CAP:
         return _finish(claim, started, "infeasible", False,
                        host_order=host_order, cap=ENUMERATION_CAP)
@@ -345,7 +353,10 @@ def lemma_property_suite(
     n_max: int = ENUMERATION_CAP, budget_nodes=None
 ) -> Certificate:
     """Sweep Lemmas 15, 16, 17 (cycle form) and the pancyclicity lemma over
-    every enumerated C4-free planar graph up to n_max vertices."""
+    every C4-free planar graph on 2 to n_max vertices, from one search at
+    order n_max: a class on k vertices is an order-n_max class whose core
+    (its non-isolated vertices) has at most k vertices, less n_max - k of
+    its isolated vertices."""
     started = time.time()
     if n_max < 2:
         # the sweep starts at order 2; below that it checks nothing
@@ -354,19 +365,17 @@ def lemma_property_suite(
         return _finish("lemmas", started, "infeasible", False, n_max=n_max)
     violations = []
     checked = dict(lemma15=0, lemma16=0, lemma17=0, pancyclic=0)
-    exhaustive = True
-    # one budget caps the whole sweep: each order gets what the orders
-    # before it left
-    left = DEFAULT_BUDGET if budget_nodes is None else budget_nodes
-    for n in range(2, n_max + 1):
-        task = EnumerationTask(n=n, mode="c4free_planar")
-        try:
-            result = classes(task, left)
-        except errors.InfeasibleScale:
-            exhaustive = False  # the budget cut the sweep at order n
-            break
-        left -= result.nodes_visited
-        for g in result.graphs:
+    task = EnumerationTask(n=n_max, mode="c4free_planar")
+    try:
+        hosts = classes(task, budget_nodes).graphs
+    except errors.InfeasibleScale:
+        return _finish("lemmas", started, "infeasible", False, violations=0,
+                       wheel_lemma_out_of_range=1, **checked)
+    for h in hosts:
+        core = [v for v in range(h.n) if h.adj[v]]
+        isolated = [v for v in range(h.n) if not h.adj[v]]
+        for n in range(max(2, len(core)), n_max + 1):
+            g = h.induced(core + isolated[:n - len(core)])
             comp = g.complement()
             # Lemma 15: the complement has independence number at most 3.
             # This check cannot fail here: K4 contains a C4, so no
@@ -390,15 +399,10 @@ def lemma_property_suite(
                 checked["lemma17"] += 1
                 if n - 1 >= 6 and not has[-1]:
                     violations.append(("lemma17", to_graph6(g)))
-        del result  # free this order's classes before the next search
-    if violations:
-        verdict = "refuted"
-    else:
-        verdict = "verified" if exhaustive else "infeasible"
     # the wheel-extraction lemma needs host order >= 12, past the sweep
     # range, so it is recorded as out of range rather than tested
     return _finish(
-        "lemmas", started, verdict, exhaustive,
+        "lemmas", started, "refuted" if violations else "verified", True,
         [w for _, w in violations[:10]],
         violations=len(violations), wheel_lemma_out_of_range=1, **checked,
     )

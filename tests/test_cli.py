@@ -221,6 +221,12 @@ def test_workers_do_not_change_the_certificate():
     (["enumerate", "--mode", "triangulation", "--n", "0"], None),
     (["enumerate", "--mode", "triangulation", "--n", "70"], None),
     (["verify", "pr-upper", "--wheel", "9", "--host", "5"], None),
+    # no wheel has a rim below 3, and the wheel must fit in the host;
+    # both are settled before the cap, the budget or the search
+    (["verify", "pr-upper", "--wheel", "2", "--host", "12"], None),
+    (["verify", "pr-upper", "--wheel", "20", "--host", "15"], None),
+    (["verify", "pr-upper", "--wheel", "2", "--host", "9",
+      "--budget-nodes", "0"], None),
     (["verify", "delta", "--n", "70"], None),
     # the lemma sweep starts at order 2: a smaller n would check nothing
     (["verify", "lemmas", "--n", "1"], None),
@@ -234,7 +240,8 @@ def test_workers_do_not_change_the_certificate():
      None),
 ], ids=["graph6", "planar_code", "torus", "dual-order0", "identity-order0",
         "identity-c4", "n0", "n70", "tri-n-1", "tri-n0", "tri-n70",
-        "host-below-wheel", "delta70", "lemmas-n1",
+        "host-below-wheel", "rim2-past-cap", "wheel-past-cap",
+        "rim2-no-budget", "delta70", "lemmas-n1",
         "lemmas-n-3", "cyclefoo", "cycle2", "cycle0", "cycle100",
         "out-unwritable"])
 def test_bad_input_is_a_usage_error(args, stdin):

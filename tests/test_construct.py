@@ -247,10 +247,10 @@ def test_gamma_edges_pair_up_at_degree_4_vertices():
         g = build_delta_witness(n).embedding.base
         if g.min_degree() < 4:
             continue
-        rep = gamma(g)
-        for u, v in rep.gamma_edges:
+        free = gamma(g)
+        for u, v in free:
             for x in (u, v):
                 if g.degree(x) == 4:
-                    others = [e for e in rep.gamma_edges if x in e
+                    others = [e for e in free if x in e
                               and e != (u, v)]
                     assert others, f"lone triangle-free edge at {x} in n={n}"

@@ -50,13 +50,48 @@ def test_a_budget_cuts_the_search():
 
 
 def test_one_budget_caps_the_whole_lemma_sweep():
-    total = sum(enumeration.classes(enumeration.EnumerationTask(
-        n=n, mode="c4free_planar")).nodes_visited for n in range(2, 8))
-    assert total == 1 + 6 + 28 + 113 + 454 + 1746 == 2348
-    assert ramsey.lemma_property_suite(7, total).verdict == "verified"
-    cut = ramsey.lemma_property_suite(7, total - 1)
+    # the sweep to order 7 is one order-7 search of 1,746 nodes
+    assert enumeration.classes(enumeration.EnumerationTask(
+        n=7, mode="c4free_planar")).nodes_visited == 1746
+    assert ramsey.lemma_property_suite(7, 1746).verdict == "verified"
+    cut = ramsey.lemma_property_suite(7, 1745)
     assert cut.verdict == "infeasible"
     assert not cut.exhaustive
+    assert cut.counts["lemma15"] == 0
+
+
+def test_lemma_sweep_runs_one_search(monkeypatch):
+    searches = []
+
+    def counting(task, budget_nodes=None):
+        searches.append(task)
+        return enumeration.classes(task, budget_nodes)
+
+    monkeypatch.setattr(ramsey, "classes", counting)
+    assert ramsey.lemma_property_suite(8).verdict == "verified"
+    assert searches == [enumeration.EnumerationTask(
+        n=8, mode="c4free_planar")]
+
+
+def test_lemma_sweep_derives_every_smaller_class_once(monkeypatch):
+    # the graphs the lemma checks see, order by order, are the classes a
+    # search at that order finds, each exactly once
+    from planram.canon import canonical_form
+
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return False
+
+    monkeypatch.setattr(ramsey, "_contains_k4", recording)
+    assert ramsey.lemma_property_suite(9).verdict == "verified"
+    for k in range(2, 10):
+        derived = sorted(canonical_form(g).form for g in seen if g.n == k)
+        direct = enumeration.classes(enumeration.EnumerationTask(
+            n=k, mode="c4free_planar")).forms
+        assert derived == list(direct), k
+    assert {g.n for g in seen} == set(range(2, 10))
 
 
 def test_pr_lower_wheel_search_count(monkeypatch):
