@@ -102,7 +102,7 @@ def walks(rotation) -> list[tuple[tuple[int, int], ...]]:
     return faces
 
 
-def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
+def cofacial_masks(rotation, faces) -> tuple[int, ...]:
     """Per vertex v, the vertices w for which adding vw keeps the rotation
     system plane.
 
@@ -111,12 +111,10 @@ def cofacial_masks(rotation, faces=None) -> tuple[int, ...]:
     or joins two separately drawn components.  A clear bit proves
     nothing, since another embedding of the graph may still put v and w
     on one face.  The masks are symmetric with clear diagonal.  faces are
-    the rotation's ``walks`` when already traced.  Raises NotPlanar
-    unless V - E + F = 2 (non-trivial components) + (isolated vertices),
-    that is unless every component is drawn on the sphere.
+    the rotation's ``walks``.  Raises NotPlanar unless V - E + F =
+    2 (non-trivial components) + (isolated vertices), that is unless
+    every component is drawn on the sphere.
     """
-    if faces is None:
-        faces = walks(rotation)
     n = len(rotation)
     masks = [0] * n
     components = []  # vertex masks of the non-trivial components

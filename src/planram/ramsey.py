@@ -18,7 +18,6 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 
 from . import errors
 from .canon import canonical_form
@@ -92,11 +91,12 @@ def verify_pr_upper(
     started = time.time()
     claim = f"pr.upper.w{n_wheel}.n{host_order}"
     check_wheel_fits(n_wheel, host_order)
+    # the task rejects an order past 64 before the cap is asked
+    task = EnumerationTask(n=host_order, mode="c4free_planar",
+                           maximal_only=True)
     if host_order > ENUMERATION_CAP:
         return _finish(claim, started, "infeasible", False,
                        host_order=host_order, cap=ENUMERATION_CAP)
-    task = EnumerationTask(n=host_order, mode="c4free_planar",
-                           maximal_only=True)
     try:
         hosts = classes(task, budget_nodes).graphs
     except errors.InfeasibleScale:
@@ -285,36 +285,6 @@ def check_fact(fact_id: str, budget_nodes: int | None = None) -> Certificate:
 # -- lemma sweeps ---------------------------------------------------------
 
 
-def _three_connected(g: Graph) -> bool:
-    """True iff g has at least four vertices and no set of at most two
-    vertices disconnects it, that is iff ``graphs.connectivity(g) > 2``.
-
-    A minimum degree of at least (n + 1) / 2 settles it without the cut
-    scan: once any two vertices are removed, two non-adjacent vertices
-    left have at least n - 3 neighbours in total among the other n - 4,
-    so they share one.
-    """
-    n = g.n
-    if n < 4:
-        return False
-    return 2 * g.min_degree() >= n + 1 or not _has_small_cut(g)
-
-
-def _has_small_cut(g: Graph) -> bool:
-    """True iff g is disconnected or one or two of its vertices
-    disconnect it; g has at least four vertices."""
-    n = g.n
-    full = (1 << n) - 1
-    cuts = [0, *(1 << x for x in range(n)),
-            *((1 << x) | (1 << y) for x, y in combinations(range(n), 2))]
-    for cut in cuts:
-        rest = full & ~cut
-        start = (rest & -rest).bit_length() - 1
-        if g.component_mask(start, forbidden=cut) != rest:
-            return True
-    return False
-
-
 def _contains_k4(g: Graph) -> bool:
     """True iff g has four pairwise adjacent vertices, that is iff its
     complement has an independent set of four."""
@@ -329,9 +299,18 @@ def _contains_k4(g: Graph) -> bool:
 
 def _lemma16_holds(g: Graph, comp: Graph) -> bool:
     """A cut pair of comp, the complement of g, isolates a single vertex
-    z, and g minus {x, y, z} has no path of length 2."""
-    if _three_connected(comp):
-        return True  # hypothesis empty
+    z, and g minus {x, y, z} has no path of length 2.
+
+    g must be C4-free on n >= 4 vertices.  Then comp is 3-connected iff
+    its minimum degree is at least 3.  Say removing a set S of at most
+    two vertices splits comp into sides A and B.  Every pair of A x B is
+    an edge of g, so if both sides had two vertices, g would have a C4.
+    One side is thus a single vertex z, whose comp-neighbours all lie in
+    S.  Conversely, removing the at most two comp-neighbours of a vertex
+    z isolates z from the n - 3 or more vertices left.
+    """
+    if comp.min_degree() >= 3:
+        return True  # comp is 3-connected: hypothesis empty
     n = g.n
     for x in range(n):
         for y in range(x + 1, n):
@@ -361,11 +340,12 @@ def lemma_property_suite(
     if n_max < 2:
         # the sweep starts at order 2; below that it checks nothing
         raise errors.BadInput(f"lemma sweep needs n >= 2, got {n_max}")
+    # the task rejects an order past 64 before the cap is asked
+    task = EnumerationTask(n=n_max, mode="c4free_planar")
     if n_max > ENUMERATION_CAP:
         return _finish("lemmas", started, "infeasible", False, n_max=n_max)
     violations = []
     checked = dict(lemma15=0, lemma16=0, lemma17=0, pancyclic=0)
-    task = EnumerationTask(n=n_max, mode="c4free_planar")
     try:
         hosts = classes(task, budget_nodes).graphs
     except errors.InfeasibleScale:

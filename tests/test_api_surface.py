@@ -169,8 +169,7 @@ def test_walks_is_the_one_face_tracer():
     # a face is its walk: every face the package reads comes from walks,
     # so no second tracer or face type can grow back
     assert callers("walks") == {
-        "planarity.faces", "planarity.cofacial_masks",
-        "enumeration._faces_and_masks"}
+        "planarity.faces", "enumeration._faces_and_masks"}
 
 
 def test_the_left_right_port_is_the_one_planarity_path():

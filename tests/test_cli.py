@@ -228,6 +228,9 @@ def test_workers_do_not_change_the_certificate():
     (["verify", "pr-upper", "--wheel", "2", "--host", "9",
       "--budget-nodes", "0"], None),
     (["verify", "delta", "--n", "70"], None),
+    # an order past 64 is a usage error, not a certificate past the cap
+    (["verify", "pr-upper", "--wheel", "3", "--host", "70"], None),
+    (["verify", "lemmas", "--n", "65"], None),
     # the lemma sweep starts at order 2: a smaller n would check nothing
     (["verify", "lemmas", "--n", "1"], None),
     (["verify", "lemmas", "--n", "-3"], None),
@@ -241,7 +244,7 @@ def test_workers_do_not_change_the_certificate():
 ], ids=["graph6", "planar_code", "torus", "dual-order0", "identity-order0",
         "identity-c4", "n0", "n70", "tri-n-1", "tri-n0", "tri-n70",
         "host-below-wheel", "rim2-past-cap", "wheel-past-cap",
-        "rim2-no-budget", "delta70", "lemmas-n1",
+        "rim2-no-budget", "delta70", "host70", "lemmas65", "lemmas-n1",
         "lemmas-n-3", "cyclefoo", "cycle2", "cycle0", "cycle100",
         "out-unwritable"])
 def test_bad_input_is_a_usage_error(args, stdin):

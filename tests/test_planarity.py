@@ -48,7 +48,7 @@ def agrees_with_networkx(g: Graph) -> bool:
         PlaneEmbedding(g, rotation)
     else:
         # V - E + F = 2 per component: no component sums below 2
-        cofacial_masks(rotation)
+        cofacial_masks(rotation, walks(rotation))
     return True
 
 
@@ -252,7 +252,7 @@ def test_cofacial_masks_are_sound():
         task = EnumerationTask(n=n, mode="c4free_planar")
         # the rotations the search carries, at every state it visits
         for g, rot in recorded_search(task).states:
-            masks = cofacial_masks(rot)
+            masks = cofacial_masks(rot, walks(rot))
             for v in range(n):
                 assert not masks[v] >> v & 1
                 others = ((1 << n) - 1) & ~g.component_mask(v)
@@ -273,24 +273,27 @@ def test_cofacial_masks_of_triangulations_are_their_adjacency():
         task = EnumerationTask(n=n, mode="triangulation")
         r = enumerate_triangulations(task)
         for g, rot in zip(r.graphs, r.embeddings):
-            assert cofacial_masks(rot) == g.adj
+            assert cofacial_masks(rot, walks(rot)) == g.adj
 
 
 def test_cofacial_masks_small_cases():
     # every pair of a tree or a cycle shares the one or two faces
     for g in (path(5), Graph.cycle(6)):
-        assert cofacial_masks(rotation_system(g)) == tuple(
+        rot = rotation_system(g)
+        assert cofacial_masks(rot, walks(rot)) == tuple(
             ((1 << g.n) - 1) & ~(1 << v) for v in range(g.n))
     # K4 plus an isolated vertex: all triangles are faces, and the extra
     # vertex is in another component
     g = Graph.from_edges(5, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert cofacial_masks(rotation_system(g)) == (
+    rot = rotation_system(g)
+    assert cofacial_masks(rot, walks(rot)) == (
         0b11110, 0b11101, 0b11011, 0b10111, 0b01111)
     # K_{2,4} puts two of its four degree-2 vertices opposite each other
     # in any embedding, yet joining them keeps the graph planar: a clear
     # bit proves nothing
     k24 = Graph.from_edges(6, [(i, j) for i in (0, 1) for j in (2, 3, 4, 5)])
-    masks = cofacial_masks(rotation_system(k24))
+    rot = rotation_system(k24)
+    masks = cofacial_masks(rot, walks(rot))
     clear = [(v, w) for v in range(2, 6) for w in range(v + 1, 6)
              if not masks[v] >> w & 1]
     assert len(clear) == 2
@@ -299,8 +302,9 @@ def test_cofacial_masks_small_cases():
     with pytest.raises(errors.NotPlanar):
         rotation_system(Graph.complete(5))
     k5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
+    faces = walks(k5)
     with pytest.raises(errors.NotPlanar):
-        cofacial_masks(k5)
+        cofacial_masks(k5, faces)
 
 
 def test_walks_match_the_reference_tracer():

@@ -15,8 +15,6 @@ from planram.graphs import (
 )
 from planram.planarity import is_planar
 
-from oracles import wheel
-
 
 def test_certificate_json_is_canonical():
     cert = ramsey.verify_pr_lower(6)
@@ -192,35 +190,35 @@ def test_lemma_suite_small():
     assert cert.counts["wheel_lemma_out_of_range"] == 1
 
 
-def test_three_connected_matches_connectivity():
-    small = [Graph.complete(k) for k in range(1, 7)]
-    small += [Graph.empty(k) for k in range(1, 5)]
-    small += [Graph.cycle(k) for k in range(3, 7)]
-    small += [wheel(k) for k in range(3, 7)]
-    complements = [
-        g.complement() for n in range(1, 10)
-        for g in enumeration.classes(
-            enumeration.EnumerationTask(n=n, mode="c4free_planar")).graphs]
+def test_lemma16_hypothesis_is_the_complement_min_degree():
+    # the complement of a C4-free graph on n >= 4 vertices is 3-connected
+    # iff its minimum degree is at least 3; _lemma16_holds reads its
+    # hypothesis off that degree and scans the complement's rows only
+    # when it is not 3-connected
+    class Watched:
+        def __init__(self, g):
+            self.g, self.read = g, False
+
+        def min_degree(self):
+            return self.g.min_degree()
+
+        @property
+        def adj(self):
+            self.read = True
+            return self.g.adj
+
     outcomes = set()
-    for g in small + complements:
-        three = ramsey._three_connected(g)
-        assert three == (connectivity(g) > 2), g
-        outcomes.add(three)
-    assert outcomes == {False, True}
-
-
-def test_degree_bound_agrees_with_the_cut_scan():
-    # the minimum-degree test settles some complements before the cut
-    # scan, and never one the scan finds a cut in
-    settled = 0
-    for n in range(4, 9):
+    for n in range(4, 10):
         for g in enumeration.classes(enumeration.EnumerationTask(
                 n=n, mode="c4free_planar")).graphs:
             comp = g.complement()
-            assert ramsey._three_connected(comp) \
-                == (not ramsey._has_small_cut(comp)), g
-            settled += 2 * comp.min_degree() >= n + 1
-    assert settled > 0
+            three = connectivity(comp) > 2
+            assert (comp.min_degree() >= 3) == three, g
+            watched = Watched(comp)
+            assert ramsey._lemma16_holds(g, watched)
+            assert watched.read == (not three), g
+            outcomes.add(three)
+    assert outcomes == {False, True}
 
 
 def test_contains_k4_matches_independence_of_complement():
