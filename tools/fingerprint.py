@@ -9,7 +9,7 @@ exit code and the SHA-256 of its stdout. Certificates are hashed without
 their ``runtime_ms`` field, the one part of a certificate that differs
 between runs. Equal files mean equal exit codes and output on every
 command, so ``git diff`` of the file shows what a change moved. The list
-takes about 38 s on a 2-core Intel Xeon machine (Python 3.11.7).
+takes about 60 s on a 2-core Intel Xeon machine (Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ COMMANDS = [
     "verify fact --id fact2",
     *(f"construct witness --wheel {w}" for w in (3, 4, 5, 6, 7, 8, 40)),
     "verify pr-lower --wheel 40",
+    # each branch of the witness plan and of the delta upper bound
+    *(f"verify delta --n {n}"
+      for n in (5, 10, 12, 13, 30, 31, 36, 43, 44, 45, 64)),
+    *(f"verify pr-lower --wheel {w}" for w in (9, 27, 28)),
+    *(f"construct grow --n {n} --format trace" for n in (23, 45, 64)),
     # wheels that are no wheel or do not fit in the host
     "verify pr-upper --wheel 2 --host 12",
     "verify pr-upper --wheel 20 --host 15",
