@@ -19,7 +19,7 @@ minimum degree:
 
 Each operation writes only the new rotation system; the child graph is
 read off it.  Each operation alone decides whether it applies: it raises
-a PlanramError when its preconditions fail, and PropertyViolation when the
+BadInput when its preconditions fail, and PropertyViolation when the
 child is not a C4-free plane graph of the promised minimum degree.
 """
 
@@ -30,7 +30,7 @@ from importlib import resources
 
 from . import errors
 from .formats import rotation_to_graph
-from .graphs import MAX_VERTICES, Graph, contains_c4, contains_wheel
+from .graphs import MAX_VERTICES, Graph, contains_c4
 from .planarity import PlaneEmbedding, edge_identity_residual
 
 SEED_NAMES = (
@@ -38,8 +38,7 @@ SEED_NAMES = (
     "fig10", "fig12a", "fig12b", "fig12c", "w3host",
 )
 
-# claimed properties: order, min degree, 4-regular?, guaranteed face length,
-# and for the wheel witnesses the wheel the complement must avoid
+# claimed properties: order, min degree, 4-regular?, guaranteed face length
 _CLAIMS = {
     "fig8a": dict(order=30, min_degree=4, regular=True),
     "fig8b": dict(order=36, min_degree=4, big_face=6),
@@ -47,10 +46,10 @@ _CLAIMS = {
     "fig8d": dict(order=46, min_degree=4, big_face=6),
     "fig8e": dict(order=47, min_degree=4, big_face=6),
     "fig10": dict(order=10, min_degree=3),
-    "fig12a": dict(order=8, wheel_free=4),
-    "fig12b": dict(order=9, wheel_free=5),
-    "fig12c": dict(order=8, wheel_free=6),
-    "w3host": dict(order=9, wheel_free=3),
+    "fig12a": dict(order=8),
+    "fig12b": dict(order=9),
+    "fig12c": dict(order=8),
+    "w3host": dict(order=9),
 }
 
 
@@ -66,32 +65,28 @@ def _read_rotation(name: str):
 def load_seed(name: str) -> PlaneEmbedding:
     """Load a seed and fail loudly unless every claimed property holds."""
     if name not in SEED_NAMES:
-        raise errors.UnknownSeed(f"no seed named {name!r}")
+        raise errors.BadInput(f"no seed named {name!r}")
     rotation = _read_rotation(name)
     graph = rotation_to_graph(rotation)
     embedding = PlaneEmbedding(graph, rotation)
     claims = _CLAIMS[name]
-    try:
-        if graph.n != claims["order"]:
-            raise errors.PropertyCheckFailed(f"order {graph.n}")
-        if contains_c4(graph):
-            raise errors.PropertyCheckFailed("contains a C4")
-        if "min_degree" in claims and graph.min_degree() != claims["min_degree"]:
-            raise errors.PropertyCheckFailed(f"min degree {graph.min_degree()}")
-        if claims.get("regular") and graph.max_degree() != graph.min_degree():
-            raise errors.PropertyCheckFailed("not regular")
-        if "big_face" in claims:
-            longest = max(len(f) for f in embedding.faces)
-            if longest < claims["big_face"]:
-                raise errors.PropertyCheckFailed(f"largest face {longest}")
-        if edge_identity_residual(embedding) != 0:
-            raise errors.PropertyCheckFailed("edge identity residual nonzero")
-        if "wheel_free" in claims:
-            m = claims["wheel_free"]
-            if contains_wheel(graph.complement(), m) is not None:
-                raise errors.PropertyCheckFailed(f"complement contains W{m}")
-    except errors.PropertyCheckFailed as ex:
-        raise errors.PropertyCheckFailed(f"seed {name}: {ex}") from None
+    if graph.n != claims["order"]:
+        raise errors.PropertyViolation(f"seed {name}: order {graph.n}")
+    if contains_c4(graph):
+        raise errors.PropertyViolation(f"seed {name}: contains a C4")
+    if "min_degree" in claims and graph.min_degree() != claims["min_degree"]:
+        raise errors.PropertyViolation(
+            f"seed {name}: min degree {graph.min_degree()}")
+    if claims.get("regular") and graph.max_degree() != graph.min_degree():
+        raise errors.PropertyViolation(f"seed {name}: not regular")
+    if "big_face" in claims:
+        longest = max(len(f) for f in embedding.faces)
+        if longest < claims["big_face"]:
+            raise errors.PropertyViolation(
+                f"seed {name}: largest face {longest}")
+    if edge_identity_residual(embedding) != 0:
+        raise errors.PropertyViolation(
+            f"seed {name}: edge identity residual nonzero")
     return embedding
 
 
@@ -132,19 +127,19 @@ def operation_a(e: PlaneEmbedding, face, u: int, v: int) -> PlaneEmbedding:
     """
     g = e.base
     if face not in e.faces:
-        raise errors.BadFace("face does not belong to this embedding")
+        raise errors.BadInput("face does not belong to this embedding")
     if len(face) < 6:
-        raise errors.BadFace(f"face length {len(face)} < 6")
+        raise errors.BadInput(f"face length {len(face)} < 6")
     if g.degree(u) != 4 or g.degree(v) != 4:
-        raise errors.BadVertex("u and v must have degree 4")
+        raise errors.BadInput("u and v must have degree 4")
     walk = [a for a, _ in face]
     try:
         i = walk.index(u)
     except ValueError:
-        raise errors.BadVertex("u is not on the face") from None
+        raise errors.BadInput("u is not on the face") from None
     k = len(face)
     if u == v or walk[(i + 3) % k] != v:
-        raise errors.BadDistance("v is not three steps after u on the face")
+        raise errors.BadInput("v is not three steps after u on the face")
     p1, p2 = walk[(i + 1) % k], walk[(i + 2) % k]
     q = walk[(i - 1) % k]
     r = walk[(i + 4) % k]
@@ -190,12 +185,12 @@ def operation_b(e: PlaneEmbedding, v: int, choice: int) -> PlaneEmbedding:
     """
     g = e.base
     if not 0 <= v < g.n or g.degree(v) != 4:
-        raise errors.BadVertex("operation B needs a degree-4 vertex")
+        raise errors.BadInput("operation B needs a degree-4 vertex")
     rv = e.rotation[v]
     n0, n1, n2, n3 = (rv[(choice + i) % 4] for i in range(4))
     f, h = e.face_of[(n0, v)], e.face_of[(n2, v)]
     if len(f) < 5 or len(h) < 5:
-        raise errors.BadVertex(
+        raise errors.BadInput(
             f"operation B at {v}: crossed faces have lengths "
             f"{len(f)}, {len(h)}"
         )
@@ -222,10 +217,10 @@ def operation_c(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedding:
     g = e.base
     u, v = edge
     if not g.has_edge(u, v):
-        raise errors.BadEdge(f"{edge} is not an edge")
+        raise errors.BadInput(f"{edge} is not an edge")
     f, h = e.face_of[(u, v)], e.face_of[(v, u)]
     if len(f) < 6 or len(h) < 6:
-        raise errors.BadEdge(
+        raise errors.BadInput(
             f"faces at the edge have lengths {len(f)}, {len(h)}; need >= 6"
         )
     fwalk = [x for x, _ in f]
@@ -272,7 +267,7 @@ _CYCLE_ORDERS = {f"cycle{k}": k for k in range(3, MAX_VERTICES + 1)}
 
 def resolve_seed(name: str) -> PlaneEmbedding:
     """A stored seed, or cycleN, the N-cycle, for 3 <= N <= MAX_VERTICES;
-    any other name raises UnknownSeed."""
+    any other name raises BadInput."""
     k = _CYCLE_ORDERS.get(name)
     if k is None:
         return load_seed(name)
@@ -324,7 +319,7 @@ def _grow_to(e: PlaneEmbedding, target: int, move_gen):
     """Depth-first schedule search; returns the op list reaching the order."""
     found = _schedule(e, [], target, move_gen, [0])
     if found is None:
-        raise errors.UnsupportedOrder(f"no schedule found for order {target}")
+        raise errors.BadInput(f"no schedule found for order {target}")
     return found
 
 
@@ -355,57 +350,45 @@ def _moves_bc(e):
     yield from _b_moves(e)
 
 
+def _delta_plan(n: int):
+    """(claimed maximum of the minimum degree, seed, move generator) of the
+    witness at order n.  A seed of order n is the witness itself."""
+    if n < 5:
+        raise errors.BadInput("orders below 5 are out of scope")
+    if n <= 9:
+        return 2, f"cycle{n}", _moves_bc
+    if n <= 29:
+        return 3, "fig10", _moves_bc
+    if n <= 43 and n not in (36, 39, 42):
+        return (4 if n == 30 else 3), "fig8a", _moves_bc
+    if n == 44:
+        return 4, "fig8c", _a_moves
+    return 4, ("fig8b", "fig8d", "fig8e")[n % 3], _a_moves
+
+
 def delta_target(n: int) -> int:
     """The claimed maximum of the minimum degree at each order."""
-    if n < 5:
-        raise errors.UnsupportedOrder("orders below 5 are out of scope")
-    if n <= 9:
-        return 2
-    if n >= 44 or n in (30, 36, 39, 42):
-        return 4
-    return 3
+    return _delta_plan(n)[0]
 
 
 def build_delta_witness(n: int) -> ConstructionTrace:
     """A C4-free planar graph of order n with the claimed minimum degree."""
     if not 5 <= n <= MAX_VERTICES:
-        raise errors.UnsupportedOrder(f"no witness for order {n}")
-    if n <= 9:
-        seed, ops = f"cycle{n}", []
-        e = resolve_seed(seed)
-    elif n <= 29:
-        seed = "fig10"
-        ops, e = _grow_to(resolve_seed(seed), n, _moves_bc)
-    elif n == 30:
-        seed, ops = "fig8a", []
-        e = resolve_seed(seed)
-    elif n <= 43 and n not in (36, 39, 42):
-        seed = "fig8a"
-        ops, e = _grow_to(resolve_seed(seed), n, _moves_bc)
-    else:
-        if n == 44:
-            seed = "fig8c"
-        elif n % 3 == 0:
-            seed = "fig8b"
-        elif n % 3 == 1:
-            seed = "fig8d"
-        else:
-            seed = "fig8e"
-        ops, e = _grow_to(resolve_seed(seed), n, _a_moves)
-    trace = ConstructionTrace(seed, tuple(ops), e)
-    want = delta_target(n)
+        raise errors.BadInput(f"no witness for order {n}")
+    want, seed, moves = _delta_plan(n)
+    ops, e = _grow_to(resolve_seed(seed), n, moves)
     got = e.base.min_degree()
     if got != want:
         raise errors.PropertyViolation(
             f"witness for {n} has minimum degree {got}, wanted {want}"
         )
-    return trace
+    return ConstructionTrace(seed, tuple(ops), e)
 
 
 def pr_target(n_wheel: int) -> int:
     """The claimed planar Ramsey number against the wheel on n_wheel + 1 vertices."""
     if n_wheel < 3:
-        raise errors.UnsupportedOrder("wheels start at W3")
+        raise errors.BadInput("wheels start at W3")
     if n_wheel == 3:
         return 10
     if n_wheel in (4, 5):
@@ -418,22 +401,11 @@ def pr_target(n_wheel: int) -> int:
 
 
 def build_ramsey_lower_witness(n_wheel: int) -> PlaneEmbedding:
-    """A C4-free plane graph on pr_target - 1 vertices whose complement
-    avoids the wheel, with the rotation it was built with.
-
-    Up to W6 the witness is a stored seed, whose wheel-free complement
-    ``load_seed`` checks by exact search.  From W7 on it is grown, and
-    the degree argument rules out a hub: no complement degree reaches
-    the rim length.
-    """
-    if n_wheel < 3:
-        raise errors.UnsupportedOrder("wheels start at W3")
+    """A C4-free plane graph on pr_target - 1 vertices, with the rotation
+    it was built with: a stored seed up to W6, grown from W7 on.  That its
+    complement avoids the wheel is what ``verify pr-lower`` certifies."""
+    order = pr_target(n_wheel) - 1  # BadInput below W3
     if n_wheel <= 6:
         return load_seed({3: "w3host", 4: "fig12a", 5: "fig12b",
                           6: "fig12c"}[n_wheel])
-    e = build_delta_witness(pr_target(n_wheel) - 1).embedding
-    if e.base.n - 1 - e.base.min_degree() >= n_wheel:
-        raise errors.PropertyViolation(
-            "witness degrees leave room for a hub; wrong schedule"
-        )
-    return e
+    return build_delta_witness(order).embedding

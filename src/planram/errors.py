@@ -7,7 +7,8 @@ class PlanramError(Exception):
 
 class BadInput(PlanramError, ValueError):
     """Input outside the accepted format or range: malformed graph6 or
-    planar_code, or an order or size no request can take."""
+    planar_code, an order or size no request can take, an unknown seed,
+    or an operation argument its preconditions reject."""
 
 
 class NotPlanar(PlanramError):
@@ -26,33 +27,6 @@ class InfeasibleScale(PlanramError):
     """Raised when a task exceeds the configured search budget."""
 
 
-class UnknownSeed(PlanramError):
-    pass
-
-
-class PropertyCheckFailed(PlanramError):
-    """A stored seed graph failed one of its claimed properties."""
-
-
-class BadFace(PlanramError):
-    pass
-
-
-class BadDistance(PlanramError):
-    pass
-
-
-class BadVertex(PlanramError):
-    pass
-
-
-class BadEdge(PlanramError):
-    pass
-
-
 class PropertyViolation(PlanramError):
-    """A growth operation produced a graph violating its postconditions."""
-
-
-class UnsupportedOrder(PlanramError):
-    pass
+    """A seed or the result of a growth operation fails a property it
+    claims."""

@@ -115,21 +115,21 @@ def verify_pr_upper(
 
 
 def verify_pr_lower(n_wheel: int) -> Certificate:
-    """Build and independently re-verify a witness on pr_target - 1 vertices."""
+    """Build a witness on pr_target - 1 vertices and re-verify it: C4-free,
+    planar, and a complement without the wheel.  The complement needs no
+    search where no complement degree reaches the rim length, since the
+    hub is adjacent to every rim vertex."""
     started = time.time()
     claim = f"pr.lower.w{n_wheel}"
     g = build_ramsey_lower_witness(n_wheel).base
-    method = "search" if g.n <= 30 else "degree_argument"
-    ok = not contains_c4(g) and is_planar(g)
-    if method == "search":
-        ok = ok and contains_wheel(g.complement(), n_wheel) is None
-    else:
-        ok = ok and g.n - 1 - g.min_degree() < n_wheel
+    by_degree = g.n - 1 - g.min_degree() < n_wheel
+    ok = not contains_c4(g) and is_planar(g) and (
+        by_degree or contains_wheel(g.complement(), n_wheel) is None)
     verdict = "verified" if ok else "refuted"
     return _finish(
         claim, started, verdict, True, [to_graph6(g)],
         witness_order=g.n, claimed_pr=pr_target(n_wheel),
-        by_search=int(method == "search"),
+        by_search=int(not by_degree),
     )
 
 
@@ -137,7 +137,7 @@ def verify_delta(n: int, budget_nodes: int | None = None) -> Certificate:
     """Both sides of the min-degree maximum at order n."""
     started = time.time()
     claim = f"delta.n{n}"
-    claimed = delta_target(n)  # raises UnsupportedOrder below 5
+    claimed = delta_target(n)  # raises BadInput below 5
     trace = build_delta_witness(n)
     g = trace.embedding.base
     lower_ok = (
@@ -156,17 +156,14 @@ def verify_delta(n: int, budget_nodes: int | None = None) -> Certificate:
             counts["deeper_min_degree_classes"] = total
         except errors.InfeasibleScale:
             upper_ok = None  # the budget cut the sweep short
-    elif claimed == 3 and n <= 29:
-        # min degree 4 needs 2n edges; 14n > 15(n-2) for n < 30
+    elif 7 * (((claimed + 1) * n + 1) // 2) > 15 * (n - 2):
+        # min degree claimed + 1 needs ceil((claimed + 1) n / 2) edges,
+        # more than the 15(n - 2) / 7 a C4-free planar graph can have
         method = "edge_bound"
-        upper_ok = 14 * n > 15 * (n - 2)
-    elif claimed == 4:
-        # min degree 5 needs ceil(5n/2) edges, beating 15(n-2)/7 everywhere
-        method = "edge_bound"
-        upper_ok = 7 * ((5 * n + 1) // 2) > 15 * (n - 2)
+        upper_ok = True
     else:
-        # 31..43 outside A: no upper-bound argument is checkable at desk
-        # scale; only the witness side is certified
+        # the edge count leaves room for min degree claimed + 1: only the
+        # witness side is certified
         method = "none"
         upper_ok = None
     counts["upper_bound_method"] = method
@@ -377,7 +374,7 @@ def lemma_property_suite(
                 # PR(C4, C_{n-1}) = n upper half: complement has C_{n-1},
                 # the last length of the pancyclic loop
                 checked["lemma17"] += 1
-                if n - 1 >= 6 and not has[-1]:
+                if not has[-1]:
                     violations.append(("lemma17", to_graph6(g)))
     # the wheel-extraction lemma needs host order >= 12, past the sweep
     # range, so it is recorded as out of range rather than tested

@@ -98,11 +98,11 @@ def operation_b_inverse(e: PlaneEmbedding, edge: tuple[int, int]) -> PlaneEmbedd
     g = e.base
     v1, v2 = edge
     if not g.has_edge(v1, v2):
-        raise errors.BadEdge(f"{edge} is not an edge")
+        raise errors.BadInput(f"{edge} is not an edge")
     if g.degree(v1) != 3 or g.degree(v2) != 3:
-        raise errors.BadEdge("both endpoints must have degree 3")
+        raise errors.BadInput("both endpoints must have degree 3")
     if g.adj[v1] & g.adj[v2]:
-        raise errors.BadEdge("merge would create a multiedge")
+        raise errors.BadInput("merge would create a multiedge")
     r1 = e.rotation[v1]
     r2 = e.rotation[v2]
     i1, i2 = r1.index(v2), r2.index(v1)
@@ -189,6 +189,35 @@ def maximal_c4free_planar(g: Graph) -> bool:
         if not contains_c4(child) and networkx_is_planar(child):
             return False
     return True
+
+
+def c4free_planar_closure(n_max: int) -> list[dict]:
+    """Per order k = 1..n_max, a representative Graph of each C4-free
+    planar class on k vertices, keyed by canonical form.
+
+    Both properties are hereditary, so each class of order k is a class
+    of order k - 1 plus a vertex v.  G + v is C4-free iff no two
+    neighbours of v share a neighbour in G, that is iff v's neighbours
+    have pairwise disjoint rows; networkx judges planarity."""
+    levels = [{canonical_form(Graph(1, (0,))).form: Graph(1, (0,))}]
+    while len(levels) < n_max:
+        grown = {}
+        for g in levels[-1].values():
+            for mask in range(1 << g.n):
+                covered = 0
+                for u in bits(mask):
+                    if g.adj[u] & covered:
+                        break
+                    covered |= g.adj[u]
+                else:
+                    rows = [row | (mask >> u & 1) << g.n
+                            for u, row in enumerate(g.adj)]
+                    child = Graph(g.n + 1, (*rows, mask))
+                    form = canonical_form(child).form
+                    if form not in grown and networkx_is_planar(child):
+                        grown[form] = child
+        levels.append(grown)
+    return levels
 
 
 @cache

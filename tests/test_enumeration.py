@@ -35,6 +35,7 @@ from planram.planarity import (
 
 from oracles import (
     brute_force_triangulation_count,
+    c4free_planar_closure,
     maximal_c4free_planar,
     mckay_canonical_edges,
     networkx_is_planar,
@@ -107,6 +108,18 @@ def test_counts_match_brute_force_small():
 def test_counts_frozen_values():
     for n in range(6, 9):
         assert count(n) == C4FREE_PLANAR_COUNTS[n - 1]
+
+
+def test_classes_match_one_vertex_extension():
+    # every class up to order 9 exactly once, full and maximal, against a
+    # generator that shares only canonical_form with the search
+    for k, level in enumerate(c4free_planar_closure(9), start=1):
+        task = EnumerationTask(n=k, mode="c4free_planar")
+        assert list(classes(task).forms) == sorted(level), k
+        maximal = sorted(form for form, g in level.items()
+                         if maximal_c4free_planar(g))
+        task = EnumerationTask(n=k, mode="c4free_planar", maximal_only=True)
+        assert list(classes(task).forms) == maximal, k
 
 
 def test_enumerate_stream_fingerprint(capsysbinary):
